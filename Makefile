@@ -9,7 +9,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 # Committed post-PR baseline the smoke subset is compared against.
-BENCH_BASELINE ?= benchmarks/BENCH_2026-08-08_simd_post.json
+BENCH_BASELINE ?= benchmarks/BENCH_2026-10-17_scatter_post.json
 BENCH_TOLERANCE ?= 0.25
 
 .PHONY: test bench-smoke bench-check bench verify lint

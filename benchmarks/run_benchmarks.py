@@ -55,6 +55,7 @@ BENCH_FILES = [
 #: -k expression selecting the <60 s smoke subset.
 SMOKE_FILTER = (
     "batch_rc4_throughput or single_byte_kernel or longterm_dataset_wallclock"
+    " or digraph_row_counts_alignment_shape"
 )
 
 

@@ -12,6 +12,11 @@ reference ingestion.  Both attacks are measured:
 - **TKIP (§5.2)**: ``CaptureSet.add_frame`` per frame vs the batched
   per-TSC engine, same asymmetry.
 
+A third benchmark times the counting layer alone:
+``digraph_row_counts`` over 512 of the Fig 10 shape's 4146 ABSAB
+alignment rows for one 4096-request batch (``max_gap=128``), on
+pre-touched counters so first-touch page faults are excluded.
+
 Recorded pre/post baselines live in
 ``BENCH_<date>_capture_{pre,post}.json``; `make bench` re-records both
 paths in the regular BENCH file.
@@ -22,6 +27,7 @@ import pytest
 
 from repro.capture import HttpsCaptureSource, TkipCaptureSource, run_capture
 from repro.config import ReproConfig
+from repro.datasets import digraph_row_counts
 from repro.simulate import HttpsAttackSimulation
 from repro.tkip.frames import TkipFrame
 from repro.tkip.injection import CaptureSet
@@ -30,6 +36,11 @@ from repro.tls.attack import CookieStatistics
 NUM_REQUESTS = 1 << 13
 
 _CONFIG = ReproConfig(seed=20150812)
+
+#: Alignment rows and requests for the counting-layer benchmark: 512
+#: rows of int64 counters are 256 MiB, CI-sized.
+SCATTER_ROWS = 512
+SCATTER_REQUESTS = 4096
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +161,21 @@ def test_tkip_capture_batched(benchmark, tkip_source):
     benchmark.extra_info["counts"] = NUM_REQUESTS
     result = benchmark(lambda: run_capture(tkip_source))
     assert result.num_captured == NUM_REQUESTS
+
+
+def test_digraph_row_counts_alignment_shape(benchmark):
+    """Counting layer: one batch of ABSAB cells into resident counters."""
+    rng = np.random.default_rng(20150812)
+    first, second = rng.integers(
+        0, 256, size=(2, SCATTER_ROWS, SCATTER_REQUESTS), dtype=np.uint8
+    )
+    counters = np.zeros(SCATTER_ROWS * 65536, dtype=np.int64)
+    counters[:] = 0  # pre-touch: time the scatter, not page faults
+    offsets = np.arange(SCATTER_ROWS, dtype=np.int64) * 65536
+    increments = SCATTER_ROWS * SCATTER_REQUESTS
+    benchmark.extra_info["requests"] = SCATTER_REQUESTS
+    benchmark.extra_info["counts"] = increments
+    benchmark(digraph_row_counts, first, second, counters, offsets)
+    row_sums = counters.reshape(SCATTER_ROWS, 65536).sum(axis=1)
+    assert row_sums[0] > 0 and row_sums[0] % SCATTER_REQUESTS == 0
+    assert (row_sums == row_sums[0]).all()

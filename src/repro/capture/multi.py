@@ -131,6 +131,8 @@ def ingest_keystream_columns(
     fm_first = columns[first : first + count]
     fm_second = columns[first + 1 : first + count + 1]
     fm_offsets = np.arange(count, dtype=np.int64) * 65536
+    # One int32 code buffer for the numpy leg's FM and ABSAB calls.
+    scratch = np.empty((DIGRAPH_GROUP, n), dtype=np.int32)
     for v, stats in enumerate(stats_list):
         t1 = templates[v, first : first + count]
         t2 = templates[v, first + 1 : first + count + 1]
@@ -139,7 +141,7 @@ def ingest_keystream_columns(
         else:
             f, s = fm_first, fm_second
         digraph_row_counts(
-            f, s, stats.fm_counts.reshape(-1), fm_offsets
+            f, s, stats.fm_counts.reshape(-1), fm_offsets, scratch=scratch
         )
 
     base = layout.base_offset
@@ -155,9 +157,6 @@ def ingest_keystream_columns(
     # Per-victim template differentials: one scalar per alignment row.
     td1 = templates[:, targets] ^ templates[:, partners]
     td2 = templates[:, targets + 1] ^ templates[:, partners + 1]
-    scratch = np.empty(
-        (min(DIGRAPH_GROUP, len(targets)), n), dtype=np.int32
-    )
     for start in range(0, len(targets), ABSAB_CHUNK):
         t_idx = targets[start : start + ABSAB_CHUNK]
         p_idx = partners[start : start + ABSAB_CHUNK]

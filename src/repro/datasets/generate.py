@@ -27,11 +27,14 @@ Two implementations sit behind every kernel:
 Both paths are bit-exact with :mod:`repro.rc4.reference`; see
 tests/test_dataset_equivalence.py.
 
-The grouped flat-bincount cores are exposed at array level
-(:func:`bytewise_row_counts`, :func:`digraph_row_counts`) so consumers
-that already hold byte rows — the capture engine in
-:mod:`repro.capture` counts *ciphertext* rows — share the exact same
-counting code instead of duplicating it.
+The array-level cores (:func:`bytewise_row_counts`,
+:func:`digraph_row_counts`) serve consumers that already hold byte rows
+— the capture engine in :mod:`repro.capture` counts *ciphertext* rows —
+so they share the exact same counting code instead of duplicating it.
+:func:`bytewise_row_counts` is a grouped flat bincount on both paths;
+:func:`digraph_row_counts` is a direct in-place C scatter when the
+compiled backend is loaded (each row adds its n increments instead of a
+dense 65536-bin histogram) and a grouped flat bincount otherwise.
 """
 
 from __future__ import annotations
@@ -111,15 +114,29 @@ def digraph_row_counts(
 
     For every row r and column c this performs
     ``flat_out[row_offsets[r] + 256 * first[r, c] + second[r, c]] += 1``
-    via grouped flat bincounts — the array-level core of every digraph
-    kernel, shared by the streamed numpy fallback, :func:`pair_counts`,
-    and the capture engine (FM digraph and ABSAB differential cells over
-    ciphertext rows).  ``first``/``second`` are uint8 ``(m, n)``;
-    ``row_offsets[r]`` is the flat offset of row r's 65536-bin block
-    (non-contiguous offsets are fine — the long-term kernel bins by PRGA
-    counter).  Streaming callers pass a hoisted ``(group, n)`` int32
-    ``scratch`` so per-window calls stay allocation-free.
+    — the array-level core of every digraph kernel, shared by the
+    streamed numpy fallback, :func:`pair_counts`, and the capture engine
+    (FM digraph and ABSAB differential cells over ciphertext rows).
+    ``first``/``second`` are uint8 ``(m, n)`` (row-strided views are
+    fine); ``flat_out`` is a 1-D C-contiguous int64 counter and
+    ``row_offsets[r]`` the flat offset of row r's 65536-bin block
+    (repeated or non-contiguous offsets are fine — the long-term kernel
+    bins by PRGA counter).  Invalid arguments raise :class:`ValueError`
+    before any counter is touched.
+
+    With the compiled backend this is one in-place C scatter: each row
+    applies only its n increments, where dense per-row histograms would
+    read and write all 65536 counters of every row.  The numpy fallback
+    performs grouped flat bincounts, ``group`` rows at a time; streaming
+    callers pass a hoisted ``(group, n)`` int32 ``scratch`` so
+    per-window calls stay allocation-free.
     """
+    if _native.available():
+        _native.scatter_digraph(first, second, flat_out, row_offsets)
+        return
+    first, second, row_offsets = _native.check_scatter_args(
+        first, second, flat_out, row_offsets
+    )
     m, n = first.shape
     width = min(group, m)
     codes = _code_scratch(scratch, width, n)

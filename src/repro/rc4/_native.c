@@ -852,3 +852,27 @@ void rc4_count_longterm(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
                    stream_len,   drop,       gap,  NULL, out};
     run_threaded(&job, threads, (ptrdiff_t)256 * 65536);
 }
+
+/* Array-level digraph scatter over byte rows the caller already holds
+ * (the capture engine's ciphertext rows, pair_counts' keystream rows):
+ * out[row_offsets[r] + first[r][c]*256 + second[r][c]] += 1 for r < m,
+ * c < n, where row r of `first` starts first_stride bytes after row r-1
+ * (likewise `second`) and its n bytes are contiguous.  Each row touches
+ * at most n of its 65536 counters, so scattering in place beats
+ * rebuilding dense per-row histograms; the loop is memory-bound, hence
+ * serial.  The Python wrapper has checked every row block lies inside
+ * `out`. */
+void rc4_scatter_digraph(const uint8_t *first, ptrdiff_t first_stride,
+                         const uint8_t *second, ptrdiff_t second_stride,
+                         const int64_t *row_offsets, ptrdiff_t m, ptrdiff_t n,
+                         int64_t *out)
+{
+    ptrdiff_t r, c;
+    for (r = 0; r < m; r++) {
+        const uint8_t *f = first + r * first_stride;
+        const uint8_t *s = second + r * second_stride;
+        int64_t *row = out + row_offsets[r];
+        for (c = 0; c < n; c++)
+            row[(ptrdiff_t)f[c] * 256 + s[c]] += 1;
+    }
+}

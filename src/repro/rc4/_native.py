@@ -223,6 +223,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         i64p, cint, cint, cint,
     ]
     lib.rc4_count_longterm.restype = None
+    lib.rc4_scatter_digraph.argtypes = [
+        u8p, ssize, u8p, ssize, i64p, ssize, ssize, i64p,
+    ]
+    lib.rc4_scatter_digraph.restype = None
     lib.rc4_simd_available.argtypes = []
     lib.rc4_simd_available.restype = cint
     lib.rc4_simd_lanes.argtypes = []
@@ -461,4 +465,90 @@ def count_longterm(
             lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0,
         ),
         _interleave(interleave), use_simd,
+    )
+
+
+def check_scatter_args(
+    first: np.ndarray,
+    second: np.ndarray,
+    flat_out: np.ndarray,
+    row_offsets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a digraph scatter before anything is written.
+
+    ``flat_out`` must be a writeable 1-D C-contiguous int64 counter;
+    ``first``/``second`` uint8 arrays of one ``(m, n)`` shape;
+    ``row_offsets`` ``m`` integers, each the start of a 65536-bin block
+    lying wholly inside ``flat_out``.  Raises :class:`ValueError`
+    otherwise, so a bad call never reaches C (which would write out of
+    bounds).  Returns ``(first, second, offsets)`` ready for C: rows may
+    stay strided views, but each row's bytes are made contiguous, and
+    the offsets become contiguous int64.
+    """
+    if not (
+        isinstance(flat_out, np.ndarray)
+        and flat_out.ndim == 1
+        and flat_out.dtype == np.int64
+        and flat_out.flags.c_contiguous
+        and flat_out.flags.writeable
+    ):
+        raise ValueError(
+            "flat_out must be a writeable 1-D C-contiguous int64 array"
+        )
+    first = np.asarray(first)
+    second = np.asarray(second)
+    if first.dtype != np.uint8 or second.dtype != np.uint8:
+        raise ValueError(
+            f"first/second must be uint8, got {first.dtype}/{second.dtype}"
+        )
+    if first.ndim != 2 or first.shape != second.shape:
+        raise ValueError(
+            "first/second must share one 2-D (m, n) shape, got "
+            f"{first.shape}/{second.shape}"
+        )
+    m = first.shape[0]
+    offsets = np.asarray(row_offsets)
+    if offsets.shape != (m,) or (m and offsets.dtype.kind not in "iu"):
+        raise ValueError(
+            f"row_offsets must be {m} integers, got shape {offsets.shape} "
+            f"of {offsets.dtype}"
+        )
+    if m and (
+        int(offsets.min()) < 0
+        or int(offsets.max()) > flat_out.size - 65536
+    ):
+        raise ValueError(
+            "row_offsets must keep every 65536-bin block inside flat_out "
+            f"(size {flat_out.size})"
+        )
+    if first.strides[1] != 1:
+        first = np.ascontiguousarray(first)
+    if second.strides[1] != 1:
+        second = np.ascontiguousarray(second)
+    return first, second, np.ascontiguousarray(offsets, dtype=np.int64)
+
+
+def scatter_digraph(
+    first: np.ndarray,
+    second: np.ndarray,
+    flat_out: np.ndarray,
+    row_offsets: np.ndarray,
+) -> None:
+    """``flat_out[row_offsets[r] + 256*first[r, c] + second[r, c]] += 1``.
+
+    Serial in-place scatter over every (r, c); arguments are checked by
+    :func:`check_scatter_args` first.  Row-strided views (column slices
+    of a wider block) are passed to C without copying.
+    """
+    first, second, offsets = check_scatter_args(
+        first, second, flat_out, row_offsets
+    )
+    m, n = first.shape
+    if m == 0 or n == 0:
+        return
+    lib = _load()
+    assert lib is not None, "call available() first"
+    lib.rc4_scatter_digraph(
+        _u8p(first), first.strides[0], _u8p(second), second.strides[0],
+        _i64p(offsets), m, n, _i64p(flat_out),
     )
