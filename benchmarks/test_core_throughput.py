@@ -46,38 +46,23 @@ def _native_or_skip():
     return _native
 
 
-def test_batch_rc4_prga_scalar_1t(benchmark, rng):
-    """Ablation: one thread, scalar per-key PRGA (the PR-1 kernel)."""
-    _native = _native_or_skip()
-    keys = rng.integers(0, 256, size=(1 << 13, 16), dtype=np.uint8)
-    benchmark.extra_info["keys"] = 1 << 13
-    result = benchmark(
-        lambda: _native.batch_keystream(
-            keys, 64, threads=1, interleave=False, simd=False
-        )
-    )
-    assert result.shape == (1 << 13, 64)
-
-
 def test_batch_rc4_prga_interleaved_1t(benchmark, rng):
-    """Ablation: one thread, interleaved PRGA — isolates the speedup from
-    overlapping the serial swap-latency chains, without threading."""
+    """Ablation: one thread, portable tier (interleaved PRGA, 4 states
+    per loop) — the keystream rate without threading or SIMD."""
     _native = _native_or_skip()
     keys = rng.integers(0, 256, size=(1 << 13, 16), dtype=np.uint8)
     benchmark.extra_info["keys"] = 1 << 13
     result = benchmark(
-        lambda: _native.batch_keystream(
-            keys, 64, threads=1, interleave=True, simd=False
-        )
+        lambda: _native.batch_keystream(keys, 64, threads=1, simd=False)
     )
     assert result.shape == (1 << 13, 64)
 
 
 def test_batch_rc4_prga_simd_1t(benchmark, rng):
     """Ablation: one thread, AVX2 wide PRGA — 32 transposed lane-major
-    states per loop with gathered S-box reads.  Together with the scalar
-    and interleaved ablations this isolates the full dispatch-tier chain
-    on one core (skipped on non-AVX2 hardware)."""
+    states per loop with gathered S-box reads.  Together with the
+    portable-tier ablation this isolates the dispatch-tier chain on one
+    core (skipped on non-AVX2 hardware)."""
     _native = _native_or_skip()
     if not _native.simd_available():
         pytest.skip("SIMD tier unavailable (no AVX2)")

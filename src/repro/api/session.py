@@ -266,7 +266,6 @@ class Session:
             "scale": config.scale,
             "native": config.native and _native.available(),
             "native_threads": config.native_threads,
-            "native_interleave": config.native_interleave,
             "native_simd": config.native_simd and _native.simd_available(),
         }
 

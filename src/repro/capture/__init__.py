@@ -4,7 +4,8 @@ The attacks hinge on capture scale — §6 ingests 9·2^27 encrypted
 requests, §5 ingests 2^30 packets — so ciphertext statistics collection
 rides the same batched, vectorized machinery as keystream generation:
 
-- **acquisition** (:mod:`.https`, :mod:`.tkip`): generate
+- **acquisition** (:mod:`.multi`, one implementation per protocol
+  whose one-victim cases are :mod:`.https` and :mod:`.tkip`): generate
   ``(batch, stream_len)`` keystream blocks through
   :func:`repro.rc4.batch.batch_keystream` (native backend when
   available), XOR broadcast plaintext templates, and count
@@ -34,7 +35,7 @@ from .engine import (
     shard_batches,
     source_fingerprint,
 )
-from .https import HttpsCaptureSource, ingest_cipher_rows
+from .https import HttpsCaptureSource
 from .multi import (
     MultiHttpsCaptureSource,
     MultiTemplateStatistics,
@@ -56,7 +57,6 @@ __all__ = [
     "SufficientStatistics",
     "TkipCaptureSource",
     "batch_digest",
-    "ingest_cipher_rows",
     "ingest_keystream_columns",
     "merge_shards",
     "run_capture",

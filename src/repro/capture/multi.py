@@ -13,28 +13,30 @@ template fold is per-victim:
   keystream differential block computed once per alignment chunk and a
   per-victim XOR with a *scalar* template differential per alignment.
   Fluhrer–McGrew digraph rows (a handful per victim) fold directly.
-- **TKIP** (:class:`MultiTkipStatistics`): XOR with a constant permutes
+- **TKIP** (:class:`TkipCaptureBase`): XOR with a constant permutes
   the 256 histogram bins, so the shared keystream columns are bincounted
   once (:func:`~repro.datasets.generate.bytewise_row_counts`) and every
   victim *gathers* that base histogram through its template's per-row
   permutation (:func:`~repro.datasets.generate.templated_row_counts`) —
   O(P·n + V·P·256) instead of O(V·P·n).
 
-Both paths produce int64 counters bit-identical to N independent
-single-template captures run with the same key-derivation label
-(`tests/test_campaign.py` holds this cell-for-cell on both
-``REPRO_NATIVE`` legs), and the single-victim case (V=1) folds the one
-template into the columns up front, making the routed
-:class:`~repro.capture.https.HttpsCaptureSource` path exactly as cheap
-as before.
+Each protocol has one capture implementation, :class:`HttpsCaptureBase`
+and :class:`TkipCaptureBase`: schedule, validation, key derivation,
+keystream and counting.  The single-victim sources
+(:class:`~repro.capture.https.HttpsCaptureSource`,
+:class:`~repro.capture.tkip.TkipCaptureSource`) are their V=1 case and
+differ from the multi-victim ones only in the statistics type and the
+descriptor format.  `tests/test_campaign.py` holds V victims against V
+single-victim captures with the same key-derivation label cell-for-cell
+on both ``REPRO_NATIVE`` legs.  For V=1 the HTTPS core folds the one
+template into the columns up front: one XOR per request block.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -51,10 +53,9 @@ from ..tkip.injection import CaptureSet
 from ..tkip.keymix import simplified_key_batch
 from ..tls.attack import CookieLayout, CookieStatistics
 from ..tls.record import MAC_LEN
-from ..utils.serialization import canonical_json
+from .engine import source_fingerprint
 
-#: Alignment rows per ABSAB differential chunk (same cache budget as the
-#: single-template path in :mod:`repro.capture.https`).
+#: Alignment rows per ABSAB differential chunk.
 ABSAB_CHUNK = 64
 
 
@@ -110,11 +111,6 @@ def ingest_keystream_columns(
             raise AttackError(
                 "multi-template ingestion needs statistics sharing one "
                 "layout and alignment set"
-            )
-        if stats.absab_matrix is None:
-            raise AttackError(
-                "batched ingestion needs the absab_matrix backing store "
-                "(build statistics with CookieStatistics.empty)"
             )
     n = columns.shape[1]
 
@@ -346,178 +342,6 @@ class MultiTemplateStatistics:
 
 
 @dataclass
-class MultiHttpsCaptureSource:
-    """Batched §6 acquisition for many victims sharing a keystream regime.
-
-    Victims in one source share the request layout and reconnect cadence
-    (hence the keystream schedule) but each has its own plaintext
-    template — its own secret cookie.  Key derivation matches
-    :class:`~repro.capture.https.HttpsCaptureSource` exactly, so a
-    single-victim source with the same ``label`` produces bit-identical
-    per-victim counters (what `tests/test_campaign.py` asserts).
-
-    Args:
-        config: run configuration (key derivation seeds).
-        layout: the shared request layout (§6.1).
-        templates: one request plaintext per victim, each exactly
-            ``layout.request_len`` bytes.
-        victim_ids: stable per-victim identifiers (campaign bookkeeping).
-        num_requests: requests captured *per victim* (shared keystream —
-            all victims see every request).
-        batch_size / reconnect_every / max_gap / record_overhead /
-        label: as on the single-victim source.
-    """
-
-    config: ReproConfig
-    layout: CookieLayout
-    templates: tuple[bytes, ...]
-    victim_ids: tuple[str, ...]
-    num_requests: int
-    batch_size: int = 4096
-    reconnect_every: int = 1
-    max_gap: int = 128
-    record_overhead: int = MAC_LEN
-    label: str = "multi-https-capture"
-    _template_matrix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.templates = tuple(self.templates)
-        self.victim_ids = tuple(self.victim_ids)
-        if not self.templates:
-            raise CaptureError("templates must be non-empty")
-        if len(self.templates) != len(self.victim_ids):
-            raise CaptureError(
-                f"{len(self.templates)} templates for "
-                f"{len(self.victim_ids)} victim ids"
-            )
-        for victim_id, template in zip(self.victim_ids, self.templates):
-            if len(template) != self.layout.request_len:
-                raise CaptureError(
-                    f"victim {victim_id!r}: template is {len(template)} "
-                    f"bytes, layout expects {self.layout.request_len}"
-                )
-        if self.num_requests < 1:
-            raise CaptureError(
-                f"num_requests must be positive, got {self.num_requests}"
-            )
-        if self.reconnect_every < 1:
-            raise CaptureError(
-                f"reconnect_every must be >= 1, got {self.reconnect_every}"
-            )
-        if self.batch_size < 1 or self.batch_size % self.reconnect_every:
-            raise CaptureError(
-                f"batch_size ({self.batch_size}) must be a positive multiple "
-                f"of reconnect_every ({self.reconnect_every})"
-            )
-        if self.reconnect_every > 1 and self._stride % 256 != 0:
-            raise CaptureError(
-                f"record stride {self._stride} must be a multiple of 256 for "
-                "multi-request connections — add request padding (§6.3)"
-            )
-        self._template_matrix = np.stack(
-            [np.frombuffer(t, dtype=np.uint8) for t in self.templates]
-        )
-
-    @property
-    def _stride(self) -> int:
-        return self.layout.request_len + self.record_overhead
-
-    @property
-    def num_batches(self) -> int:
-        return -(-self.num_requests // self.batch_size)
-
-    @property
-    def total_requests(self) -> int:
-        return self.num_requests * len(self.templates)
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "multi-https-capture",
-            "seed": self.config.seed,
-            "label": self.label,
-            "layout": _layout_meta(self.layout),
-            "templates": [t.decode("latin-1") for t in self.templates],
-            "victim_ids": list(self.victim_ids),
-            "num_requests": self.num_requests,
-            "batch_size": self.batch_size,
-            "reconnect_every": self.reconnect_every,
-            "max_gap": self.max_gap,
-            "record_overhead": self.record_overhead,
-        }
-
-    @classmethod
-    def from_descriptor(
-        cls, descriptor: dict, config: ReproConfig
-    ) -> "MultiHttpsCaptureSource":
-        if descriptor.get("kind") != "multi-https-capture":
-            raise CaptureError(
-                f"descriptor kind {descriptor.get('kind')!r} is not "
-                "'multi-https-capture'"
-            )
-        return cls(
-            config=replace(config, seed=int(descriptor["seed"])),
-            layout=_layout_from_meta(descriptor["layout"]),
-            templates=tuple(
-                t.encode("latin-1") for t in descriptor["templates"]
-            ),
-            victim_ids=tuple(str(v) for v in descriptor["victim_ids"]),
-            num_requests=int(descriptor["num_requests"]),
-            batch_size=int(descriptor["batch_size"]),
-            reconnect_every=int(descriptor["reconnect_every"]),
-            max_gap=int(descriptor["max_gap"]),
-            record_overhead=int(descriptor["record_overhead"]),
-            label=str(descriptor["label"]),
-        )
-
-    def fingerprint(self) -> str:
-        payload = canonical_json(self.descriptor()).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
-
-    def empty(self) -> MultiTemplateStatistics:
-        return MultiTemplateStatistics.empty(
-            self.layout, self.victim_ids, max_gap=self.max_gap
-        )
-
-    def load(self, path: str | Path) -> tuple[MultiTemplateStatistics, dict]:
-        return MultiTemplateStatistics.load(path)
-
-    def capture_batch(
-        self, stats: MultiTemplateStatistics, index: int
-    ) -> int:
-        """One batch: shared keystream block -> per-victim template folds."""
-        first = index * self.batch_size
-        count = min(self.batch_size, self.num_requests - first)
-        if count <= 0:
-            raise CaptureError(f"batch {index} is beyond the campaign")
-        per_conn = self.reconnect_every
-        connections = -(-count // per_conn)
-        keys = derive_keys(
-            self.config, f"{self.label}/batch{index}", connections
-        )
-        length = (per_conn - 1) * self._stride + self.layout.request_len
-        stream = batch_keystream(
-            keys, length, threads=self.config.native_threads,
-            simd=self.config.native_simd,
-        )
-        columns = np.ascontiguousarray(stream.T)
-        for q in range(per_conn):
-            rows = -(-(count - q) // per_conn)
-            if rows <= 0:
-                break
-            start = q * self._stride
-            window = columns[
-                start : start + self.layout.request_len, :rows
-            ]
-            ingest_keystream_columns(
-                stats.victims,
-                window,
-                self._template_matrix,
-                offset=self.layout.base_offset + start,
-            )
-        return count * len(self.templates)
-
-
-@dataclass
 class MultiTkipStatistics:
     """Per-victim TKIP capture sets over shared per-TSC counter banks.
 
@@ -545,34 +369,6 @@ class MultiTkipStatistics:
             )
             self.blocks[low] = block
         return block
-
-    def ingest_rows(
-        self, tsc: int, rows: np.ndarray, templates: np.ndarray
-    ) -> None:
-        """Count keystream ``rows`` XOR each victim template at one TSC.
-
-        ``rows`` is uint8 ``(n, plaintext_len)`` *keystream* (the shared
-        part); ``templates`` is uint8 ``(num_victims, plaintext_len)``.
-        The keystream columns are bincounted once and each victim
-        gathers the base histogram through its template's permutation.
-        """
-        if rows.ndim != 2 or rows.shape[1] != self.plaintext_len:
-            raise AttackError(
-                f"rows must be (n, {self.plaintext_len}), got {rows.shape}"
-            )
-        templates = np.asarray(templates, dtype=np.uint8)
-        if templates.shape != (len(self.victim_ids), self.plaintext_len):
-            raise AttackError(
-                f"templates must be "
-                f"({len(self.victim_ids)}, {self.plaintext_len}), "
-                f"got {templates.shape}"
-            )
-        pos_idx = np.asarray(self.positions, dtype=np.intp) - 1
-        columns = np.ascontiguousarray(rows.T[pos_idx])
-        templated_row_counts(
-            columns, templates[:, pos_idx], self._block(tsc)
-        )
-        self.num_captured += rows.shape[0]
 
     def victim_capture_set(self, victim_id: str) -> CaptureSet:
         """Victim ``victim_id``'s counters as a zero-copy CaptureSet."""
@@ -686,40 +482,258 @@ class MultiTkipStatistics:
         return stats, meta.get("extra", {})
 
 
-@dataclass
-class MultiTkipCaptureSource:
-    """Batched §5 acquisition for many victims sharing a TSC budget.
+@dataclass(kw_only=True)
+class CaptureSourceBase:
+    """What every capture source shares: its descriptor identity.
 
-    Victims share the injected packet length, the TSC schedule, and the
-    packets-per-TSC budget (the keystream regime); each has its own
-    protected plaintext (MIC/ICV differ per victim MIC key).  Key
-    derivation matches :class:`~repro.capture.tkip.TkipCaptureSource`
-    with the same ``label``, batch for batch, so single-victim runs are
-    bit-identical per victim.
+    A source is rebuilt anywhere from its :meth:`descriptor` (what a
+    fleet manifest ships to workers on other machines) and identified by
+    :meth:`fingerprint`, the digest of that descriptor.  Only the seed
+    rides along from the config: native-backend knobs stay per-worker and
+    cannot affect the counters.
+
+    A concrete source sets ``KIND`` (its descriptor kind, also the
+    default ``label``) and ``STATS`` (its statistics type), and defines
+    ``empty()``, ``_plaintexts()`` (one plaintext per victim),
+    ``_victim_fields()`` (the descriptor entries carrying them) and
+    ``_fields(descriptor)`` (constructor arguments other than config and
+    label), plus the per-protocol hook named on its base.
     """
 
+    KIND: ClassVar[str]
+    STATS: ClassVar[type]
     config: ReproConfig
-    plaintexts: tuple[bytes, ...]
-    victim_ids: tuple[str, ...]
+    label: str
+
+    def descriptor(self) -> dict:
+        """JSON-safe record sufficient to rebuild this source bit-exactly."""
+        return {"kind": self.KIND, "seed": self.config.seed, "label": self.label}
+
+    def fingerprint(self) -> str:
+        return source_fingerprint(self.descriptor())
+
+    @classmethod
+    def from_descriptor(cls, descriptor: dict, config: ReproConfig):
+        """Rebuild a source from :meth:`descriptor` output.
+
+        ``config`` supplies the local backend knobs; its seed is
+        overridden by the descriptor's so the keystreams match the
+        originating campaign.
+        """
+        if descriptor.get("kind") != cls.KIND:
+            raise CaptureError(
+                f"descriptor kind {descriptor.get('kind')!r} is not "
+                f"{cls.KIND!r}"
+            )
+        return cls(
+            config=replace(config, seed=int(descriptor["seed"])),
+            label=str(descriptor["label"]),
+            **cls._fields(descriptor),
+        )
+
+    def load(self, path: str | Path):
+        """Load a checkpoint written by this source's statistics type."""
+        return self.STATS.load(path)
+
+
+@dataclass(kw_only=True)
+class HttpsCaptureBase(CaptureSourceBase):
+    """Batched §6 acquisition for V victims sharing a keystream regime.
+
+    Victims share the request layout and reconnect cadence, hence the
+    keystream schedule; each has its own plaintext template (its own
+    secret cookie).  A capture batch is three vectorized steps with no
+    per-request Python loop:
+
+    1. generate a ``(connections, stream_len)`` keystream block through
+       :func:`repro.rc4.batch.batch_keystream` — one RC4 instance per
+       simulated TLS connection, streamed deep enough to cover
+       ``reconnect_every`` requests per connection;
+    2. fold every victim's template into the shared keystream columns;
+    3. count Fluhrer–McGrew digraph and ABSAB differential cells
+       (:func:`ingest_keystream_columns`).
+
+    ``reconnect_every`` models record churn (§6.3): every connection
+    carries that many requests before the victim rekeys.
+    ``reconnect_every=1`` is the fresh-connection regime of Fig 10 (each
+    request starts at keystream position 1, where the early-position
+    biases live); larger values reuse one keystream at record-aligned
+    offsets exactly like the persistent connection the per-request
+    reference path (:meth:`repro.tls.attack.CookieStatistics.ingest_fragment`)
+    accepts.  Key derivation depends only on ``label`` and the batch
+    index, so a V-victim source and V single-victim sources with the same
+    label produce bit-identical per-victim counters.  Subclasses define
+    ``_victims(stats)``: the per-victim :class:`CookieStatistics`.
+
+    Args:
+        config: run configuration (key derivation seeds).
+        layout: the manipulated request layout (§6.1).
+        num_requests: requests captured per victim (shared keystream:
+            every victim sees every request).
+        batch_size: requests per batch; must be a multiple of
+            ``reconnect_every`` so batches hold whole connections.
+        reconnect_every: requests each connection carries before the
+            victim rekeys (1 = fresh connection per request).
+        max_gap: ABSAB gap cap (paper: 128).
+        record_overhead: keystream bytes between the end of one request
+            and the start of the next on a connection (the RC4-SHA
+            record MAC).
+        label: key-derivation namespace.
+    """
+
+    layout: CookieLayout
+    num_requests: int
+    batch_size: int = 4096
+    reconnect_every: int = 1
+    max_gap: int = 128
+    record_overhead: int = MAC_LEN
+    _templates: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for v, template in enumerate(self._plaintexts()):
+            if len(template) != self.layout.request_len:
+                raise CaptureError(
+                    f"victim {v}: plaintext is {len(template)} bytes, "
+                    f"layout expects {self.layout.request_len}"
+                )
+        if self.num_requests < 1:
+            raise CaptureError(
+                f"num_requests must be positive, got {self.num_requests}"
+            )
+        if self.reconnect_every < 1:
+            raise CaptureError(
+                f"reconnect_every must be >= 1, got {self.reconnect_every}"
+            )
+        if self.batch_size < 1 or self.batch_size % self.reconnect_every:
+            raise CaptureError(
+                f"batch_size ({self.batch_size}) must be a positive multiple "
+                f"of reconnect_every ({self.reconnect_every})"
+            )
+        if self.reconnect_every > 1 and self._stride % 256 != 0:
+            raise CaptureError(
+                f"record stride {self._stride} must be a multiple of 256 for "
+                "multi-request connections — add request padding (§6.3)"
+            )
+        self._templates = _template_matrix(self._plaintexts())
+
+    @property
+    def _stride(self) -> int:
+        """Keystream bytes consumed per request on a connection."""
+        return self.layout.request_len + self.record_overhead
+
+    @property
+    def num_batches(self) -> int:
+        return -(-self.num_requests // self.batch_size)
+
+    @property
+    def total_requests(self) -> int:
+        return self.num_requests * len(self._templates)
+
+    def descriptor(self) -> dict:
+        return {
+            **super().descriptor(),
+            "layout": _layout_meta(self.layout),
+            **self._victim_fields(),
+            "num_requests": self.num_requests,
+            "batch_size": self.batch_size,
+            "reconnect_every": self.reconnect_every,
+            "max_gap": self.max_gap,
+            "record_overhead": self.record_overhead,
+        }
+
+    @classmethod
+    def _fields(cls, descriptor: dict) -> dict:
+        return {
+            "layout": _layout_from_meta(descriptor["layout"]),
+            "num_requests": int(descriptor["num_requests"]),
+            "batch_size": int(descriptor["batch_size"]),
+            "reconnect_every": int(descriptor["reconnect_every"]),
+            "max_gap": int(descriptor["max_gap"]),
+            "record_overhead": int(descriptor["record_overhead"]),
+        }
+
+    def capture_batch(self, stats, index: int) -> int:
+        """One batch: shared keystream block -> per-victim template folds."""
+        first = index * self.batch_size
+        count = min(self.batch_size, self.num_requests - first)
+        if count <= 0:
+            raise CaptureError(f"batch {index} is beyond the campaign")
+        per_conn = self.reconnect_every
+        connections = -(-count // per_conn)
+        keys = derive_keys(
+            self.config, f"{self.label}/batch{index}", connections
+        )
+        length = (per_conn - 1) * self._stride + self.layout.request_len
+        stream = batch_keystream(
+            keys, length, threads=self.config.native_threads,
+            simd=self.config.native_simd,
+        )
+        # One transpose for the whole block; each request window is a
+        # column view and the templates fold inside the multi-template
+        # core (one victim: one XOR, then zero-template counting).
+        columns = np.ascontiguousarray(stream.T)
+        victims = self._victims(stats)
+        for q in range(per_conn):
+            # Connections whose q-th request exists (the final connection
+            # of the final batch may carry fewer than per_conn requests).
+            rows = -(-(count - q) // per_conn)
+            if rows <= 0:
+                break
+            start = q * self._stride
+            window = columns[
+                start : start + self.layout.request_len, :rows
+            ]
+            ingest_keystream_columns(
+                victims,
+                window,
+                self._templates,
+                offset=self.layout.base_offset + start,
+            )
+        return count * len(self._templates)
+
+
+@dataclass(kw_only=True)
+class TkipCaptureBase(CaptureSourceBase):
+    """Batched §5 acquisition for V victims sharing a TSC budget.
+
+    Under the paper's key model (§2.2: three public TSC-determined key
+    bytes, 13 uniform bytes) a capture batch is one
+    ``(packets, plaintext_len)`` keystream block through
+    :func:`repro.rc4.batch.batch_keystream` from
+    :func:`repro.tkip.keymix.simplified_key_batch` keys, counted once and
+    gathered through each victim's template permutation
+    (:func:`~repro.datasets.generate.templated_row_counts`).  Victims
+    share the injected packet length, the TSC schedule, and the
+    packets-per-TSC budget; each has its own protected plaintext
+    (data || MIC || ICV, the MIC differing per victim key).  Key
+    derivation depends only on ``label``, the TSC, and the batch, so
+    single- and multi-victim runs with one label agree per victim.
+    Subclasses define ``_counters(stats, tsc)``: the ``(V, positions,
+    256)`` int64 counters for one TSC value.
+
+    Batches iterate TSC-major: TSC value t owns batches
+    ``t * batches_per_tsc .. (t+1) * batches_per_tsc - 1``, so sharding
+    by batch range also shards by TSC.
+
+    Args:
+        config: run configuration (key-model seeds).
+        tsc_values: low-16-bit TSC values covered by the campaign.
+        packets_per_tsc: packets captured at each TSC value.
+        positions: 1-indexed keystream positions to collect (default:
+            the whole plaintext).
+        batch_size: packets per batch.
+        label: seed namespace.
+    """
+
     tsc_values: tuple[int, ...]
     packets_per_tsc: int
     positions: range | None = None
     batch_size: int = 4096
-    label: str = "multi-tkip-capture"
-    _template_matrix: np.ndarray = field(init=False, repr=False)
+    _templates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.plaintexts = tuple(self.plaintexts)
-        self.victim_ids = tuple(self.victim_ids)
         self.tsc_values = tuple(self.tsc_values)
-        if not self.plaintexts:
-            raise CaptureError("plaintexts must be non-empty")
-        if len(self.plaintexts) != len(self.victim_ids):
-            raise CaptureError(
-                f"{len(self.plaintexts)} plaintexts for "
-                f"{len(self.victim_ids)} victim ids"
-            )
-        lengths = {len(p) for p in self.plaintexts}
+        lengths = {len(p) for p in self._plaintexts()}
         if lengths == {0} or len(lengths) != 1:
             raise CaptureError(
                 "victim plaintexts must be non-empty and share one length "
@@ -735,7 +749,7 @@ class MultiTkipCaptureSource:
             raise CaptureError(
                 f"batch_size must be positive, got {self.batch_size}"
             )
-        plaintext_len = len(self.plaintexts[0])
+        (plaintext_len,) = lengths
         if self.positions is None:
             self.positions = range(1, plaintext_len + 1)
         if len(self.positions) == 0:
@@ -746,13 +760,11 @@ class MultiTkipCaptureSource:
                     f"position {pos} outside the plaintext "
                     f"(1..{plaintext_len})"
                 )
-        self._template_matrix = np.stack(
-            [np.frombuffer(p, dtype=np.uint8) for p in self.plaintexts]
-        )
+        self._templates = _template_matrix(self._plaintexts())
 
     @property
     def plaintext_len(self) -> int:
-        return len(self.plaintexts[0])
+        return self._templates.shape[1]
 
     @property
     def _batches_per_tsc(self) -> int:
@@ -765,18 +777,13 @@ class MultiTkipCaptureSource:
     @property
     def total_requests(self) -> int:
         return (
-            len(self.tsc_values)
-            * self.packets_per_tsc
-            * len(self.plaintexts)
+            len(self.tsc_values) * self.packets_per_tsc * len(self._templates)
         )
 
     def descriptor(self) -> dict:
         return {
-            "kind": "multi-tkip-capture",
-            "seed": self.config.seed,
-            "label": self.label,
-            "plaintexts": [p.decode("latin-1") for p in self.plaintexts],
-            "victim_ids": list(self.victim_ids),
+            **super().descriptor(),
+            **self._victim_fields(),
             "tsc_values": list(self.tsc_values),
             "packets_per_tsc": self.packets_per_tsc,
             "positions": [
@@ -786,44 +793,17 @@ class MultiTkipCaptureSource:
         }
 
     @classmethod
-    def from_descriptor(
-        cls, descriptor: dict, config: ReproConfig
-    ) -> "MultiTkipCaptureSource":
-        if descriptor.get("kind") != "multi-tkip-capture":
-            raise CaptureError(
-                f"descriptor kind {descriptor.get('kind')!r} is not "
-                "'multi-tkip-capture'"
-            )
+    def _fields(cls, descriptor: dict) -> dict:
         start, stop, step = (int(v) for v in descriptor["positions"])
-        return cls(
-            config=replace(config, seed=int(descriptor["seed"])),
-            plaintexts=tuple(
-                p.encode("latin-1") for p in descriptor["plaintexts"]
-            ),
-            victim_ids=tuple(str(v) for v in descriptor["victim_ids"]),
-            tsc_values=tuple(int(t) for t in descriptor["tsc_values"]),
-            packets_per_tsc=int(descriptor["packets_per_tsc"]),
-            positions=range(start, stop, step),
-            batch_size=int(descriptor["batch_size"]),
-            label=str(descriptor["label"]),
-        )
+        return {
+            "tsc_values": tuple(int(t) for t in descriptor["tsc_values"]),
+            "packets_per_tsc": int(descriptor["packets_per_tsc"]),
+            "positions": range(start, stop, step),
+            "batch_size": int(descriptor["batch_size"]),
+        }
 
-    def fingerprint(self) -> str:
-        payload = canonical_json(self.descriptor()).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
-
-    def empty(self) -> MultiTkipStatistics:
-        return MultiTkipStatistics(
-            positions=self.positions,
-            plaintext_len=self.plaintext_len,
-            victim_ids=self.victim_ids,
-        )
-
-    def load(self, path: str | Path) -> tuple[MultiTkipStatistics, dict]:
-        return MultiTkipStatistics.load(path)
-
-    def capture_batch(self, stats: MultiTkipStatistics, index: int) -> int:
-        """One batch: shared keystream -> per-victim permutation gather."""
+    def capture_batch(self, stats, index: int) -> int:
+        """One batch: per-TSC keys -> keystream -> per-victim counts."""
         tsc_index, part = divmod(index, self._batches_per_tsc)
         if not 0 <= tsc_index < len(self.tsc_values):
             raise CaptureError(f"batch {index} is beyond the campaign")
@@ -836,5 +816,131 @@ class MultiTkipCaptureSource:
             keys, self.plaintext_len, threads=self.config.native_threads,
             simd=self.config.native_simd,
         )
-        stats.ingest_rows(tsc, stream, self._template_matrix)
-        return count * len(self.plaintexts)
+        pos_idx = np.asarray(self.positions, dtype=np.intp) - 1
+        columns = np.ascontiguousarray(stream.T[pos_idx])
+        templated_row_counts(
+            columns, self._templates[:, pos_idx], self._counters(stats, tsc)
+        )
+        stats.num_captured += count
+        return count * len(self._templates)
+
+
+def _template_matrix(plaintexts: Sequence[bytes]) -> np.ndarray:
+    """Stack equal-length plaintexts into a uint8 ``(V, length)`` matrix."""
+    if not plaintexts:
+        raise CaptureError("need at least one victim plaintext")
+    return np.stack([np.frombuffer(p, dtype=np.uint8) for p in plaintexts])
+
+
+def _victim_tuples(source) -> None:
+    """Normalise a multi-victim source's per-victim fields to tuples."""
+    source.victim_ids = tuple(source.victim_ids)
+    plaintexts = source._plaintexts()
+    if len(plaintexts) != len(source.victim_ids):
+        raise CaptureError(
+            f"{len(plaintexts)} plaintexts for "
+            f"{len(source.victim_ids)} victim ids"
+        )
+
+
+@dataclass(kw_only=True)
+class MultiHttpsCaptureSource(HttpsCaptureBase):
+    """Batched §6 acquisition for many victims (see :class:`HttpsCaptureBase`).
+
+    Args:
+        templates: one request plaintext per victim, each exactly
+            ``layout.request_len`` bytes.
+        victim_ids: stable per-victim identifiers (campaign bookkeeping).
+        config / layout / num_requests / batch_size / reconnect_every /
+        max_gap / record_overhead / label: as on the base.
+    """
+
+    KIND: ClassVar[str] = "multi-https-capture"
+    STATS: ClassVar[type] = MultiTemplateStatistics
+    templates: tuple[bytes, ...]
+    victim_ids: tuple[str, ...]
+    label: str = KIND
+
+    def __post_init__(self) -> None:
+        self.templates = tuple(self.templates)
+        _victim_tuples(self)
+        super().__post_init__()
+
+    def _plaintexts(self) -> tuple[bytes, ...]:
+        return self.templates
+
+    def _victim_fields(self) -> dict:
+        return {
+            "templates": [t.decode("latin-1") for t in self.templates],
+            "victim_ids": list(self.victim_ids),
+        }
+
+    @classmethod
+    def _fields(cls, descriptor: dict) -> dict:
+        return {
+            **super()._fields(descriptor),
+            "templates": tuple(
+                t.encode("latin-1") for t in descriptor["templates"]
+            ),
+            "victim_ids": tuple(str(v) for v in descriptor["victim_ids"]),
+        }
+
+    def _victims(self, stats: MultiTemplateStatistics) -> list[CookieStatistics]:
+        return stats.victims
+
+    def empty(self) -> MultiTemplateStatistics:
+        return MultiTemplateStatistics.empty(
+            self.layout, self.victim_ids, max_gap=self.max_gap
+        )
+
+
+@dataclass(kw_only=True)
+class MultiTkipCaptureSource(TkipCaptureBase):
+    """Batched §5 acquisition for many victims (see :class:`TkipCaptureBase`).
+
+    Args:
+        plaintexts: one protected plaintext per victim, all one length.
+        victim_ids: stable per-victim identifiers (campaign bookkeeping).
+        config / tsc_values / packets_per_tsc / positions / batch_size /
+        label: as on the base.
+    """
+
+    KIND: ClassVar[str] = "multi-tkip-capture"
+    STATS: ClassVar[type] = MultiTkipStatistics
+    plaintexts: tuple[bytes, ...]
+    victim_ids: tuple[str, ...]
+    label: str = KIND
+
+    def __post_init__(self) -> None:
+        self.plaintexts = tuple(self.plaintexts)
+        _victim_tuples(self)
+        super().__post_init__()
+
+    def _plaintexts(self) -> tuple[bytes, ...]:
+        return self.plaintexts
+
+    def _victim_fields(self) -> dict:
+        return {
+            "plaintexts": [p.decode("latin-1") for p in self.plaintexts],
+            "victim_ids": list(self.victim_ids),
+        }
+
+    @classmethod
+    def _fields(cls, descriptor: dict) -> dict:
+        return {
+            **super()._fields(descriptor),
+            "plaintexts": tuple(
+                p.encode("latin-1") for p in descriptor["plaintexts"]
+            ),
+            "victim_ids": tuple(str(v) for v in descriptor["victim_ids"]),
+        }
+
+    def _counters(self, stats: MultiTkipStatistics, tsc: int) -> np.ndarray:
+        return stats._block(tsc)
+
+    def empty(self) -> MultiTkipStatistics:
+        return MultiTkipStatistics(
+            positions=self.positions,
+            plaintext_len=self.plaintext_len,
+            victim_ids=self.victim_ids,
+        )

@@ -16,12 +16,12 @@ count and backend knob in the library:
     presentation date).  Every component derives child seeds from this
     via :func:`child_seed`, so independent subsystems never share streams.
 
-``REPRO_NATIVE`` / ``REPRO_NATIVE_THREADS`` / ``REPRO_NATIVE_INTERLEAVE``
-/ ``REPRO_NATIVE_SIMD`` / ``REPRO_NATIVE_CC``
+``REPRO_NATIVE`` / ``REPRO_NATIVE_THREADS`` / ``REPRO_NATIVE_SIMD`` /
+``REPRO_NATIVE_CC``
     The compiled statistics backend (:mod:`repro.rc4._native`): enabled
-    flag, kernel thread count (default ``os.cpu_count()``), interleaved
-    vs scalar kernels, the runtime-dispatched AVX2 wide kernels (on by
-    default, harmless on hardware without AVX2), and a compiler pin.
+    flag, kernel thread count (default ``os.cpu_count()``), the
+    runtime-dispatched AVX2 wide kernels (on by default, harmless on
+    hardware without AVX2), and a compiler pin.
     All results are bit-exact for every setting.
 
 ``REPRO_FLEET_LEASE_TTL`` / ``REPRO_FLEET_RETRY_BUDGET`` /
@@ -60,7 +60,6 @@ _ENV_SCALE = "REPRO_SCALE"
 _ENV_SEED = "REPRO_SEED"
 _ENV_NATIVE = "REPRO_NATIVE"
 _ENV_NATIVE_THREADS = "REPRO_NATIVE_THREADS"
-_ENV_NATIVE_INTERLEAVE = "REPRO_NATIVE_INTERLEAVE"
 _ENV_NATIVE_SIMD = "REPRO_NATIVE_SIMD"
 _ENV_NATIVE_CC = "REPRO_NATIVE_CC"
 _ENV_FLEET_LEASE_TTL = "REPRO_FLEET_LEASE_TTL"
@@ -82,7 +81,7 @@ DEFAULT_FLEET_BACKOFF_BASE = 0.25
 DEFAULT_CANDIDATE_MEM = 1 << 31
 
 #: Values that switch a boolean knob off (matching the historical
-#: behaviour of REPRO_NATIVE=0 / REPRO_NATIVE_INTERLEAVE=0).
+#: behaviour of REPRO_NATIVE=0).
 _OFF_VALUES = ("0", "off", "false")
 
 
@@ -97,11 +96,9 @@ class ReproConfig:
             (it silently falls back to numpy when unavailable anyway).
         native_threads: thread count for the native kernels; ``None``
             means the backend default (``os.cpu_count()``).
-        native_interleave: use the interleaved PRGA kernels (multiple
-            independent RC4 states per loop iteration).
         native_simd: allow the runtime-dispatched AVX2 wide kernels (32
-            states per loop); silently degrades to the interleaved or
-            scalar tier on hardware or builds without AVX2.
+            states per loop); silently degrades to the portable
+            interleaved tier on hardware or builds without AVX2.
         native_cc: pinned C compiler for the on-demand build, or ``None``
             for the ``cc``/``gcc``/``clang`` probe order.
         fleet_lease_ttl: seconds without a heartbeat before a fleet
@@ -120,7 +117,6 @@ class ReproConfig:
     seed: int = DEFAULT_SEED
     native: bool = True
     native_threads: int | None = None
-    native_interleave: bool = True
     native_simd: bool = True
     native_cc: str | None = None
     fleet_lease_ttl: float = DEFAULT_FLEET_LEASE_TTL
@@ -212,11 +208,6 @@ def env_native_threads() -> int | None:
         raise ConfigError(
             f"{_ENV_NATIVE_THREADS} must be an integer, got {raw!r}"
         ) from exc
-
-
-def env_native_interleave() -> bool:
-    """``REPRO_NATIVE_INTERLEAVE``: False only on an explicit 0/off/false."""
-    return os.environ.get(_ENV_NATIVE_INTERLEAVE, "").strip() not in _OFF_VALUES
 
 
 def env_native_simd() -> bool:
@@ -328,7 +319,6 @@ def get_config() -> ReproConfig:
         seed=seed,
         native=env_native_enabled(),
         native_threads=threads,
-        native_interleave=env_native_interleave(),
         native_simd=env_native_simd(),
         native_cc=env_native_cc(),
         fleet_lease_ttl=env_fleet_lease_ttl(),

@@ -11,47 +11,31 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict
 
+from ..capture import (
+    HttpsCaptureSource,
+    MultiHttpsCaptureSource,
+    MultiTkipCaptureSource,
+    TkipCaptureSource,
+)
 from ..config import ReproConfig
 from ..errors import ManifestError
 
 SourceFactory = Callable[[dict, ReproConfig], Any]
 
-_FACTORIES: Dict[str, SourceFactory] = {}
+_FACTORIES: Dict[str, SourceFactory] = {
+    source.KIND: source.from_descriptor
+    for source in (
+        HttpsCaptureSource,
+        TkipCaptureSource,
+        MultiHttpsCaptureSource,
+        MultiTkipCaptureSource,
+    )
+}
 
 
 def register_source(kind: str, factory: SourceFactory) -> None:
     """Register (or override) the factory for a descriptor kind."""
     _FACTORIES[kind] = factory
-
-
-def _https_factory(descriptor: dict, config: ReproConfig):
-    from ..capture.https import HttpsCaptureSource
-
-    return HttpsCaptureSource.from_descriptor(descriptor, config)
-
-
-def _tkip_factory(descriptor: dict, config: ReproConfig):
-    from ..capture.tkip import TkipCaptureSource
-
-    return TkipCaptureSource.from_descriptor(descriptor, config)
-
-
-def _multi_https_factory(descriptor: dict, config: ReproConfig):
-    from ..capture.multi import MultiHttpsCaptureSource
-
-    return MultiHttpsCaptureSource.from_descriptor(descriptor, config)
-
-
-def _multi_tkip_factory(descriptor: dict, config: ReproConfig):
-    from ..capture.multi import MultiTkipCaptureSource
-
-    return MultiTkipCaptureSource.from_descriptor(descriptor, config)
-
-
-register_source("https-capture", _https_factory)
-register_source("tkip-capture", _tkip_factory)
-register_source("multi-https-capture", _multi_https_factory)
-register_source("multi-tkip-capture", _multi_tkip_factory)
 
 
 def build_source(descriptor: dict, config: ReproConfig):

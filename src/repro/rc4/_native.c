@@ -10,9 +10,10 @@
  *
  * - Interleaving: the PRGA recurrence (i, j, two state loads, a swap, an
  *   output gather) is a serial dependency chain, so a single state leaves
- *   most of the core idle.  The interleaved kernels advance RC4_IL
- *   independent states per loop iteration; their chains overlap and the
- *   four 256-byte states still fit in L1 together.
+ *   most of the core idle.  The interleaved kernels, the portable tier,
+ *   advance RC4_IL independent states per loop iteration; their chains
+ *   overlap and the four 256-byte states still fit in L1 together.  The
+ *   scalar loops only run the n mod RC4_IL keys left at the end.
  * - AVX2 SIMD (runtime-dispatched): the wide kernels advance RC4_WIDE
  *   (32) independent states per loop iteration in a lane-major
  *   transposed layout ST[value][lane].  Because every instance shares
@@ -45,7 +46,8 @@
  * (SIMD groups of 32 with an interleaved/scalar remainder, or no SIMD at
  * all) yields bit-identical keystreams and counters.  The Python side
  * cross-checks this in tests/test_dataset_equivalence.py across thread
- * counts, the interleaved vs scalar kernels, and the SIMD tier.
+ * counts, the SIMD tier, and key counts that leave SIMD and interleave
+ * remainders.
  *
  * Build contract (see _native.py): plain C99, no dependencies beyond
  * libc + pthreads, compiled with `cc -O3 -shared -fPIC -pthread`.  The
@@ -632,7 +634,6 @@ enum job_kind { JOB_KEYSTREAM, JOB_SINGLE, JOB_DIGRAPH, JOB_LONGTERM };
 
 typedef struct {
     enum job_kind kind;
-    int interleave;
     int simd;            /* request the AVX2 tier (still runtime-gated) */
     const uint8_t *keys; /* this range's first key */
     ptrdiff_t n;         /* keys in this range */
@@ -644,41 +645,25 @@ typedef struct {
     int64_t *out_i64;  /* private counter block for this range */
 } rc4_job;
 
-/* The portable (interleaved / scalar) tier for one key range. */
+/* The portable (interleaved, scalar tail) tier for one key range. */
 static void run_job_narrow(const rc4_job *job)
 {
     switch (job->kind) {
     case JOB_KEYSTREAM:
-        if (job->interleave)
-            keystream_interleaved(job->keys, job->n, job->keylen, job->drop,
-                                  job->length, job->out_u8);
-        else
-            keystream_scalar(job->keys, job->n, job->keylen, job->drop,
-                             job->length, job->out_u8);
+        keystream_interleaved(job->keys, job->n, job->keylen, job->drop,
+                              job->length, job->out_u8);
         break;
     case JOB_SINGLE:
-        if (job->interleave)
-            single_interleaved(job->keys, job->n, job->keylen, job->length,
-                               job->out_i64);
-        else
-            single_scalar(job->keys, job->n, job->keylen, job->length,
-                          job->out_i64);
-        break;
-    case JOB_DIGRAPH:
-        if (job->interleave)
-            digraph_interleaved(job->keys, job->n, job->keylen, job->length,
-                                job->out_i64);
-        else
-            digraph_scalar(job->keys, job->n, job->keylen, job->length,
+        single_interleaved(job->keys, job->n, job->keylen, job->length,
                            job->out_i64);
         break;
+    case JOB_DIGRAPH:
+        digraph_interleaved(job->keys, job->n, job->keylen, job->length,
+                            job->out_i64);
+        break;
     case JOB_LONGTERM:
-        if (job->interleave)
-            longterm_interleaved(job->keys, job->n, job->keylen, job->length,
-                                 job->drop, job->gap, job->out_i64);
-        else
-            longterm_scalar(job->keys, job->n, job->keylen, job->length,
-                            job->drop, job->gap, job->out_i64);
+        longterm_interleaved(job->keys, job->n, job->keylen, job->length,
+                             job->drop, job->gap, job->out_i64);
         break;
     }
 }
@@ -815,20 +800,20 @@ static void run_threaded(const rc4_job *template, int threads,
  * `drop` initial bytes. */
 void rc4_batch_keystream(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
                          long drop, long length, uint8_t *out, int threads,
-                         int interleave, int simd)
+                         int simd)
 {
-    rc4_job job = {JOB_KEYSTREAM, interleave, simd, keys, n,    keylen,
-                   length,        drop,       0,    out,  NULL};
+    rc4_job job = {JOB_KEYSTREAM, simd, keys, n,   keylen,
+                   length,        drop, 0,    out, NULL};
     run_threaded(&job, threads, 0);
 }
 
 /* Single-byte counts: out[r*256 + Z_{r+1}] += 1 for r = 0..positions-1. */
 void rc4_count_single(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
                       long positions, int64_t *out, int threads,
-                      int interleave, int simd)
+                      int simd)
 {
-    rc4_job job = {JOB_SINGLE, interleave, simd, keys, n,    keylen,
-                   positions,  0,          0,    NULL, out};
+    rc4_job job = {JOB_SINGLE, simd, keys, n,    keylen,
+                   positions,  0,    0,    NULL, out};
     run_threaded(&job, threads, (ptrdiff_t)positions * 256);
 }
 
@@ -836,20 +821,20 @@ void rc4_count_single(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
  * r = 0..positions-1 (needs positions+1 keystream bytes per key). */
 void rc4_count_digraph(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
                        long positions, int64_t *out, int threads,
-                       int interleave, int simd)
+                       int simd)
 {
-    rc4_job job = {JOB_DIGRAPH, interleave, simd, keys, n,    keylen,
-                   positions,   0,          0,    NULL, out};
+    rc4_job job = {JOB_DIGRAPH, simd, keys, n,    keylen,
+                   positions,   0,    0,    NULL, out};
     run_threaded(&job, threads, (ptrdiff_t)positions * 65536);
 }
 
 /* Long-term digraphs (see longterm_scalar above for the binning). */
 void rc4_count_longterm(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
                         long stream_len, long drop, long gap, int64_t *out,
-                        int threads, int interleave, int simd)
+                        int threads, int simd)
 {
-    rc4_job job = {JOB_LONGTERM, interleave, simd, keys, n,    keylen,
-                   stream_len,   drop,       gap,  NULL, out};
+    rc4_job job = {JOB_LONGTERM, simd, keys, n,    keylen,
+                   stream_len,   drop, gap,  NULL, out};
     run_threaded(&job, threads, (ptrdiff_t)256 * 65536);
 }
 

@@ -8,22 +8,24 @@ source *plus* the compiler identity and flags (so pinning a different
 ``REPRO_NATIVE_CC`` or changing CFLAGS can never load a stale artefact),
 and exposes thin ctypes wrappers.
 
-Three performance knobs ride on every kernel:
+Two performance knobs ride on every kernel:
 
 - ``threads`` (default ``os.cpu_count()``, overridable per call or via
   ``REPRO_NATIVE_THREADS``): the C side splits keys into contiguous
   ranges, one POSIX thread each.  Counting threads accumulate into
   private blocks merged serially at the end, so results are bit-exact
   for any thread count.
-- ``interleave`` (default on, ``REPRO_NATIVE_INTERLEAVE=0`` to disable):
-  selects the interleaved kernels that advance several independent RC4
-  states per loop iteration to hide the serial swap-latency chain.
 - ``simd`` (default on, ``REPRO_NATIVE_SIMD=0`` to disable): selects the
   AVX2 wide kernels that advance 32 states per loop in a transposed
   lane-major layout.  The C side re-checks CPU support at runtime
   (``__builtin_cpu_supports("avx2")``), so enabling the knob on non-AVX2
-  hardware silently degrades to the interleaved/scalar tiers; every tier
-  is bit-exact with every other.
+  hardware silently degrades to the portable tier; every tier is
+  bit-exact with every other.
+
+Below the SIMD tier (and for the keys left over after its 32-key groups)
+the portable kernels advance four independent RC4 states per loop
+iteration to hide the serial swap-latency chain, with a one-state loop
+for the last ``n mod 4`` keys.
 
 The backend is strictly optional: if no compiler is present, compilation
 fails, or ``REPRO_NATIVE=0`` is set, :func:`available` returns False and
@@ -56,7 +58,6 @@ import numpy as np
 from ..config import (
     env_native_cc,
     env_native_enabled,
-    env_native_interleave,
     env_native_simd,
     env_native_threads,
 )
@@ -207,20 +208,19 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     cint = ctypes.c_int
     lib.rc4_batch_keystream.argtypes = [
         u8p, ssize, ssize, ctypes.c_long, ctypes.c_long, u8p, cint, cint,
-        cint,
     ]
     lib.rc4_batch_keystream.restype = None
     lib.rc4_count_single.argtypes = [
-        u8p, ssize, ssize, ctypes.c_long, i64p, cint, cint, cint,
+        u8p, ssize, ssize, ctypes.c_long, i64p, cint, cint,
     ]
     lib.rc4_count_single.restype = None
     lib.rc4_count_digraph.argtypes = [
-        u8p, ssize, ssize, ctypes.c_long, i64p, cint, cint, cint,
+        u8p, ssize, ssize, ctypes.c_long, i64p, cint, cint,
     ]
     lib.rc4_count_digraph.restype = None
     lib.rc4_count_longterm.argtypes = [
         u8p, ssize, ssize, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        i64p, cint, cint, cint,
+        i64p, cint, cint,
     ]
     lib.rc4_count_longterm.restype = None
     lib.rc4_scatter_digraph.argtypes = [
@@ -278,11 +278,7 @@ def status() -> str:
             simd = f"avx2 x{simd_lanes()}"
         else:
             simd = "unsupported"
-        return (
-            f"native backend loaded (threads={threads}, "
-            f"interleave={'on' if _interleave(None) else 'off'}, "
-            f"simd={simd})"
-        )
+        return f"native backend loaded (threads={threads}, simd={simd})"
     return f"native backend unavailable: {_load_error}"
 
 
@@ -333,13 +329,6 @@ def resolve_threads(
     return threads
 
 
-def _interleave(interleave: bool | None) -> int:
-    """Resolve the interleave knob (per-call override beats the env)."""
-    if interleave is None:
-        return 1 if env_native_interleave() else 0
-    return 1 if interleave else 0
-
-
 def _simd(simd: bool | None) -> int:
     """Resolve the SIMD knob (per-call override beats the env)."""
     if simd is None:
@@ -368,7 +357,6 @@ def batch_keystream(
     *,
     drop: int = 0,
     threads: int | None = None,
-    interleave: bool | None = None,
     simd: bool | None = None,
 ) -> np.ndarray:
     """Compiled equivalent of :func:`repro.rc4.batch.batch_keystream`."""
@@ -383,7 +371,7 @@ def batch_keystream(
         resolve_threads(
             threads, lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0
         ),
-        _interleave(interleave), use_simd,
+        use_simd,
     )
     return out
 
@@ -394,7 +382,6 @@ def count_single(
     out: np.ndarray,
     *,
     threads: int | None = None,
-    interleave: bool | None = None,
     simd: bool | None = None,
 ) -> None:
     """Accumulate single-byte counts into ``out`` (positions, 256) int64."""
@@ -409,7 +396,7 @@ def count_single(
             threads, out.nbytes,
             lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0,
         ),
-        _interleave(interleave), use_simd,
+        use_simd,
     )
 
 
@@ -419,7 +406,6 @@ def count_digraph(
     out: np.ndarray,
     *,
     threads: int | None = None,
-    interleave: bool | None = None,
     simd: bool | None = None,
 ) -> None:
     """Accumulate consecutive-digraph counts into (positions, 256, 256)."""
@@ -434,7 +420,7 @@ def count_digraph(
             threads, out.nbytes,
             lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0,
         ),
-        _interleave(interleave), use_simd,
+        use_simd,
     )
 
 
@@ -446,7 +432,6 @@ def count_longterm(
     out: np.ndarray,
     *,
     threads: int | None = None,
-    interleave: bool | None = None,
     simd: bool | None = None,
 ) -> None:
     """Accumulate counter-binned long-term digraphs into (256, 256, 256)."""
@@ -464,7 +449,7 @@ def count_longterm(
             threads, out.nbytes,
             lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0,
         ),
-        _interleave(interleave), use_simd,
+        use_simd,
     )
 
 

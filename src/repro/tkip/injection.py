@@ -47,8 +47,8 @@ class CaptureSet:
     snapshots, exact int64 :meth:`merge` (statistic-level shards from
     independent processes combine losslessly), canonical-JSON summaries,
     and NPZ persistence for checkpointed captures.  :meth:`add_frame` is
-    the bit-exact per-frame reference path; :meth:`ingest_rows` is the
-    batched entry the capture engine drives.
+    the bit-exact per-frame reference path; the batched capture engine
+    (:class:`repro.capture.TkipCaptureSource`) fills ``counts`` directly.
 
     Attributes:
         positions: 1-indexed keystream positions covered (the full
@@ -90,26 +90,6 @@ class CaptureSet:
             table[row, frame.ciphertext[pos - 1]] += 1
         self.num_captured += 1
         return True
-
-    def ingest_rows(self, tsc: int, rows: np.ndarray) -> None:
-        """Count a batch of ciphertext rows captured at one TSC value.
-
-        The vectorized equivalent of :meth:`add_frame` over ``rows`` of
-        shape (num_packets, plaintext_len): one grouped flat bincount
-        per position block instead of a Python loop per byte.  Rows are
-        statistic-level packets (distinct fresh TSCs with the same low
-        16 bits), so no per-frame dedup applies.
-        """
-        from ..datasets.generate import bytewise_row_counts
-
-        if rows.ndim != 2 or rows.shape[1] != self.plaintext_len:
-            raise AttackError(
-                f"rows must be (n, {self.plaintext_len}), got {rows.shape}"
-            )
-        pos_idx = np.asarray(self.positions, dtype=np.intp) - 1
-        columns = np.ascontiguousarray(rows.T[pos_idx])
-        bytewise_row_counts(columns, self._table(tsc))
-        self.num_captured += rows.shape[0]
 
     def snapshot(self) -> "CaptureSet":
         """Independent deep copy (checkpointing / shard seeds)."""

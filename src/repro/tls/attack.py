@@ -25,9 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..biases.fluhrer_mcgrew import fm_biased_cells, position_to_counter
-from ..biases.mantin_absab import MAX_GAP, absab_alpha, usable_gaps
+from ..biases.mantin_absab import MAX_GAP, usable_gaps
 from ..core.candidates.matrix import CandidateMatrix
 from ..core.candidates.viterbi import algorithm2
+from ..core.likelihood.absab import absab_log_likelihoods
+from ..core.likelihood.combine import combine_likelihoods
 from ..core.likelihood.digraph import digraph_log_likelihoods
 from ..errors import AttackError
 from .bruteforce import BruteForceOracle, CandidatePruner
@@ -132,9 +134,9 @@ class CookieStatistics:
     layout: CookieLayout
     fm_counts: np.ndarray
     absab_counts: dict[tuple[int, int, str], np.ndarray]
+    absab_matrix: np.ndarray
     num_requests: int = 0
     max_gap: int = MAX_GAP
-    absab_matrix: np.ndarray | None = None
 
     @classmethod
     def empty(
@@ -171,11 +173,7 @@ class CookieStatistics:
         """Independent deep copy (checkpointing / shard seeds)."""
         copy = CookieStatistics.empty(self.layout, max_gap=self.max_gap)
         copy.fm_counts += self.fm_counts
-        if self.absab_matrix is not None:
-            copy.absab_matrix += self.absab_matrix
-        else:
-            for key, counts in self.absab_counts.items():
-                copy.absab_counts[key] += counts
+        copy.absab_matrix += self.absab_matrix
         copy.num_requests = self.num_requests
         return copy
 
@@ -190,11 +188,7 @@ class CookieStatistics:
         if list(self.absab_counts) != list(other.absab_counts):
             raise AttackError("cannot merge statistics with different alignments")
         self.fm_counts += other.fm_counts
-        if self.absab_matrix is not None and other.absab_matrix is not None:
-            self.absab_matrix += other.absab_matrix
-        else:
-            for key, counts in other.absab_counts.items():
-                self.absab_counts[key] += counts
+        self.absab_matrix += other.absab_matrix
         self.num_requests += other.num_requests
         return self
 
@@ -222,11 +216,6 @@ class CookieStatistics:
         """NPZ persistence via the dataset store (resumable captures)."""
         from ..datasets.store import save_statistics
 
-        matrix = self.absab_matrix
-        if matrix is None:
-            matrix = np.stack(list(self.absab_counts.values())) if (
-                self.absab_counts
-            ) else np.zeros((0, 65536), dtype=np.int64)
         meta = {
             "layout": {
                 "prefix": self.layout.prefix.decode("latin-1"),
@@ -241,7 +230,7 @@ class CookieStatistics:
         return save_statistics(
             path,
             "cookie-statistics",
-            {"fm_counts": self.fm_counts, "absab_matrix": matrix},
+            {"fm_counts": self.fm_counts, "absab_matrix": self.absab_matrix},
             meta,
         )
 
@@ -314,26 +303,8 @@ class CookieStatistics:
             self.ingest_fragment(fragment, offset)
 
 
-#: Flat differential index (mu1 << 8) | mu2 of every (mu1, mu2) cell;
-#: XORing it with a known-pair key gives eq 24's gather index directly.
-_BASE_IDX = (
-    (np.arange(256, dtype=np.intp)[:, None] << 8)
-    | np.arange(256, dtype=np.intp)[None, :]
-).reshape(-1)
-
-
 def transition_log_likelihoods(stats: CookieStatistics) -> np.ndarray:
     """Combined FM + ABSAB log-likelihoods per transition (§4.3, eq 25).
-
-    The ABSAB estimates (eq 22/24) are computed for *all* alignments at
-    once on the contiguous ``(A, 65536)`` backing matrix — one
-    broadcast multiply-add for every eq 22 vector, then one 65536-entry
-    gather per alignment via the XOR identity
-    ``((mu1^k1)<<8) | (mu2^k2) == ((mu1<<8)|mu2) ^ ((k1<<8)|k2)`` —
-    instead of re-deriving each alignment from its dict entry.  The
-    per-element operations and the eq 25 accumulation order match the
-    per-alignment reference (:func:`absab_log_likelihoods` +
-    :func:`combine_likelihoods`) bit for bit.
 
     Returns:
         float64 (num_transitions, 256, 256) ready for Algorithm 2.
@@ -343,52 +314,23 @@ def transition_log_likelihoods(stats: CookieStatistics) -> np.ndarray:
     total = float(stats.num_requests)
     if total <= 0:
         raise AttackError("no requests ingested")
-
-    keys = list(stats.absab_counts)
-    if stats.absab_matrix is not None:
-        counts_all = stats.absab_matrix.astype(np.float64)
-    elif keys:
-        counts_all = np.stack(
-            [np.asarray(c, dtype=np.float64) for c in stats.absab_counts.values()]
-        )
-    else:
-        counts_all = np.zeros((0, 65536), dtype=np.float64)
-    # Eq 22 for every alignment row at once.  The per-gap scalars are
-    # computed exactly as the scalar reference does, so the broadcast
-    # multiply-add below reproduces its rows bitwise.
-    gap_scalars: dict[int, tuple[float, float]] = {}
-    coef = np.empty(len(keys), dtype=np.float64)
-    offset = np.empty(len(keys), dtype=np.float64)
-    for row, (_, gap, _) in enumerate(keys):
-        if gap not in gap_scalars:
-            alpha = absab_alpha(gap)
-            log_alpha = np.log(alpha)
-            log_u = np.log((1.0 - alpha) / (65536 - 1))
-            gap_scalars[gap] = (log_alpha - log_u, total * log_u)
-        coef[row], offset[row] = gap_scalars[gap]
-    lam_hat = counts_all * coef[:, None] + offset[:, None]
-
-    rows_by_transition: dict[int, list[int]] = {}
-    for row, (t, _, _) in enumerate(keys):
-        rows_by_transition.setdefault(t, []).append(row)
-
     loglik = np.empty((len(transitions), 256, 256), dtype=np.float64)
     for t, r in enumerate(transitions):
         cells = fm_biased_cells(position_to_counter(r))
         mass = sum(p for _, p in cells)
         uniform_p = (1.0 - mass) / (65536 - len(cells))
-        combined = digraph_log_likelihoods(
-            stats.fm_counts[t], cells, uniform_p, total
-        )
-        for row in rows_by_transition.get(t, ()):
-            _, gap, side = keys[row]
+        estimates = [
+            digraph_log_likelihoods(stats.fm_counts[t], cells, uniform_p, total)
+        ]
+        for (tt, gap, side), counts in stats.absab_counts.items():
+            if tt != t:
+                continue
             if side == "after":
                 known = (layout.known_byte(r + 2 + gap), layout.known_byte(r + 3 + gap))
             else:
                 known = (layout.known_byte(r - 2 - gap), layout.known_byte(r - 1 - gap))
-            key = (known[0] << 8) | known[1]
-            combined += lam_hat[row, _BASE_IDX ^ key].reshape(256, 256)
-        loglik[t] = combined
+            estimates.append(absab_log_likelihoods(counts, gap, known, total))
+        loglik[t] = combine_likelihoods(*estimates)
     return loglik
 
 

@@ -204,9 +204,9 @@ class TestTkipCaptureEquivalence:
 
 class TestCaptureForcedDispatchMatrix:
     """Both capture sources under every forced dispatch combination
-    (``native_simd`` x ``REPRO_NATIVE_INTERLEAVE`` x thread count)
-    produce counters identical to the serial scalar leg — the capture
-    engine must be immune to how the keystream generator is dispatched.
+    (``native_simd`` x thread count) produce counters identical to the
+    serial portable-tier leg — the capture engine must be immune to how
+    the keystream generator is dispatched.
     """
 
     @pytest.fixture(autouse=True)
@@ -221,18 +221,13 @@ class TestCaptureForcedDispatchMatrix:
         )
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("interleave", ["0", "1"], ids=["il0", "il1"])
     @pytest.mark.parametrize("simd", [False, True], ids=["simd0", "simd1"])
-    def test_https_dispatch_matrix(
-        self, config, https_sim, monkeypatch, threads, interleave, simd
-    ):
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", "0")
+    def test_https_dispatch_matrix(self, config, https_sim, threads, simd):
         baseline = run_capture(
             _https_source(
                 https_sim, self._dispatch_config(config, simd=False, threads=1)
             )
         )
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", interleave)
         forced = run_capture(
             _https_source(
                 https_sim,
@@ -242,11 +237,8 @@ class TestCaptureForcedDispatchMatrix:
         _assert_cookie_stats_equal(forced, baseline)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("interleave", ["0", "1"], ids=["il0", "il1"])
     @pytest.mark.parametrize("simd", [False, True], ids=["simd0", "simd1"])
-    def test_tkip_dispatch_matrix(
-        self, config, monkeypatch, threads, interleave, simd
-    ):
+    def test_tkip_dispatch_matrix(self, config, threads, simd):
         def source(dispatch_config):
             rng = np.random.default_rng(5)
             return TkipCaptureSource(
@@ -258,11 +250,9 @@ class TestCaptureForcedDispatchMatrix:
                 label="disp-tkip",
             )
 
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", "0")
         baseline = run_capture(
             source(self._dispatch_config(config, simd=False, threads=1))
         )
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", interleave)
         forced = run_capture(
             source(self._dispatch_config(config, simd=simd, threads=threads))
         )

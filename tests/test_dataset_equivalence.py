@@ -2,8 +2,8 @@
 
 The engine has five layers that must all be byte-identical to the naive
 reference: the fused counting kernels (numpy grouped-bincount path), the
-optional compiled backend (``repro.rc4._native``) with its scalar and
-interleaved PRGA kernels, the runtime-dispatched AVX2 wide kernels
+optional compiled backend (``repro.rc4._native``) with its interleaved
+PRGA kernels and their scalar tail, the runtime-dispatched AVX2 wide kernels
 (``REPRO_NATIVE_SIMD``), the POSIX-threaded native fan-out (private
 per-thread counters merged in C), and the shared-memory shard reduction
 in ``generate_dataset``.  Every test here counts the same keystreams
@@ -180,7 +180,7 @@ class TestBackendParity:
 THREAD_COUNTS = sorted({1, 2, os.cpu_count() or 1})
 
 #: Every dataset kind with a small spec, shared by the thread and
-#: interleave sweeps below.
+#: dispatch sweeps below.
 ALL_KIND_SPECS = [
     DatasetSpec(kind="single", num_keys=900, positions=6, label="mt-s"),
     DatasetSpec(kind="consec", num_keys=900, positions=4, label="mt-c"),
@@ -199,12 +199,12 @@ ALL_KIND_IDS = [spec.kind for spec in ALL_KIND_SPECS]
 
 
 class TestThreadedNativeEquivalence:
-    """Threaded and interleaved native kernels == serial scalar kernels.
+    """Threaded and SIMD native kernels == serial portable kernels.
 
     This is the acceptance gate for the multi-core native engine: for
     every dataset kind the counters must be cell-for-cell identical
-    across ``threads in {1, 2, cpu_count()}`` and across the interleaved
-    vs scalar PRGA kernels.
+    across ``threads in {1, 2, cpu_count()}`` and across the SIMD and
+    portable tiers.
     """
 
     @pytest.fixture(autouse=True)
@@ -225,67 +225,53 @@ class TestThreadedNativeEquivalence:
         )
         assert np.array_equal(reference, threaded)
 
-    @pytest.mark.parametrize("spec", ALL_KIND_SPECS, ids=ALL_KIND_IDS)
-    def test_dataset_identical_across_prga_kernels(
-        self, config, spec, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", "0")
-        scalar = generate_dataset(spec, config, processes=1, worker_chunk=128)
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", "1")
-        interleaved = generate_dataset(
-            spec, config, processes=1, worker_chunk=128
-        )
-        assert np.array_equal(scalar, interleaved)
-
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
-    @pytest.mark.parametrize("interleave", [False, True], ids=["scalar", "il"])
     @pytest.mark.parametrize("simd", [False, True], ids=["nosimd", "simd"])
-    def test_kernel_level_matrix(self, rng, threads, interleave, simd):
-        """Direct kernel calls: every (threads, interleave, simd) cell
-        agrees with the serial scalar baseline, including key counts that
-        are not multiples of the interleave width, the 32-lane SIMD group
-        width, or the thread count."""
+    def test_kernel_level_matrix(self, rng, threads, simd):
+        """Direct kernel calls: every (threads, simd) cell agrees with the
+        Python reference keystreams, at a key count (103) that is not a
+        multiple of the 4-state interleave width, the 32-lane SIMD group
+        width, or the thread count, so both remainders run."""
         keys = rng.integers(0, 256, size=(103, 16), dtype=np.uint8)
+        streams = np.array(
+            [list(rc4_keystream(bytes(key), 126)) for key in keys],
+            dtype=np.int64,
+        )
+        rows = np.arange(len(keys))[:, None]
 
         base = np.zeros((7, 256), dtype=np.int64)
-        _native.count_single(
-            keys, 7, base, threads=1, interleave=False, simd=False
-        )
+        np.add.at(base, (np.arange(7)[None, :], streams[:, :7]), 1)
         got = np.zeros_like(base)
-        _native.count_single(
-            keys, 7, got, threads=threads, interleave=interleave, simd=simd
-        )
+        _native.count_single(keys, 7, got, threads=threads, simd=simd)
         assert np.array_equal(base, got)
 
         base = np.zeros((5, 256, 256), dtype=np.int64)
-        _native.count_digraph(
-            keys, 5, base, threads=1, interleave=False, simd=False
+        np.add.at(
+            base, (np.arange(5)[None, :], streams[:, :5], streams[:, 1:6]), 1
         )
         got = np.zeros_like(base)
-        _native.count_digraph(
-            keys, 5, got, threads=threads, interleave=interleave, simd=simd
-        )
+        _native.count_digraph(keys, 5, got, threads=threads, simd=simd)
         assert np.array_equal(base, got)
 
+        # Long-term digraphs: drop 100, 24 positions, gap 1, binned by
+        # the PRGA counter (drop + r + 1) mod 256.
         base = np.zeros((256, 256, 256), dtype=np.int64)
-        _native.count_longterm(
-            keys, 24, 100, 1, base, threads=1, interleave=False, simd=False
+        r = np.arange(24)[None, :]
+        np.add.at(
+            base,
+            ((100 + r + 1) % 256, streams[:, 100 + r], streams[:, 102 + r]),
+            1,
         )
         got = np.zeros_like(base)
         _native.count_longterm(
-            keys, 24, 100, 1, got,
-            threads=threads, interleave=interleave, simd=simd,
+            keys, 24, 100, 1, got, threads=threads, simd=simd
         )
         assert np.array_equal(base, got)
 
-        base = _native.batch_keystream(
-            keys, 40, drop=13, threads=1, interleave=False, simd=False
-        )
         got = _native.batch_keystream(
-            keys, 40, drop=13, threads=threads, interleave=interleave,
-            simd=simd,
+            keys, 40, drop=13, threads=threads, simd=simd
         )
-        assert np.array_equal(base, got)
+        assert np.array_equal(streams[rows, 13 + np.arange(40)], got)
 
     def test_threads_env_default_used_by_kernels(self, rng, monkeypatch):
         """REPRO_NATIVE_THREADS steers the default without changing counts."""
@@ -297,20 +283,15 @@ class TestThreadedNativeEquivalence:
 
     @pytest.mark.parametrize("spec", ALL_KIND_SPECS, ids=ALL_KIND_IDS)
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("interleave", ["0", "1"], ids=["il0", "il1"])
     @pytest.mark.parametrize("simd", [False, True], ids=["simd0", "simd1"])
-    def test_dataset_forced_dispatch_matrix(
-        self, config, monkeypatch, spec, threads, interleave, simd
-    ):
+    def test_dataset_forced_dispatch_matrix(self, config, spec, threads, simd):
         """Full datasets under every forced dispatch combination
-        (simd x interleave x threads) match the serial scalar baseline
+        (simd x threads) match the serial portable-tier baseline
         cell-for-cell for all dataset kinds."""
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", "0")
         baseline_config = dataclasses.replace(config, native_simd=False)
         reference = generate_dataset(
             spec, baseline_config, processes=1, worker_chunk=128, threads=1
         )
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", interleave)
         forced_config = dataclasses.replace(config, native_simd=simd)
         forced = generate_dataset(
             spec, forced_config, processes=1, worker_chunk=128,
