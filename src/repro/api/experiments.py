@@ -53,53 +53,31 @@ from .registry import Param, experiment
 UNIFORM_BYTE = 1.0 / 256.0
 
 
-def _validate_distributed(p) -> None:
-    """Shared checks for the ``distributed``/``job_dir`` fleet params."""
-    if p["distributed"] < 0:
-        raise ExperimentParamError(
-            f"distributed must be >= 0, got {p['distributed']}"
-        )
-    if p["distributed"]:
-        if p["capture"] != "batched":
-            raise ExperimentParamError("distributed requires capture=batched")
-        if p["checkpoint"]:
-            raise ExperimentParamError(
-                "the fleet manages its own per-shard checkpoints; "
-                "drop checkpoint for distributed runs"
-            )
-    elif p["job_dir"]:
-        raise ExperimentParamError("job_dir requires distributed > 0")
+def _check_capture_mode(p) -> None:
+    """:func:`repro.capture.check_collect_mode` on the shared
+    ``checkpoint``/``distributed``/``job_dir`` params."""
+    from ..capture import check_collect_mode
 
-
-def _run_fleet_capture(ctx, source, *, num_shards, job_dir, stage):
-    """Route a batched capture through the fleet coordinator.
-
-    Returns ``(statistics, fleet_metrics)``; the statistics are the
-    exact merge of every completed shard (bit-identical to a local
-    ``run_capture`` when the job completes), and the metrics record the
-    coverage report plus where the job directory lives.
-    """
-    import os
-    import tempfile
-
-    from ..fleet import fleet_capture
-
-    if not job_dir:
-        job_dir = tempfile.mkdtemp(prefix="repro-fleet-")
-    workers = ctx.config.fleet_workers or (os.cpu_count() or 1)
-    workers = max(1, min(workers, num_shards))
-    stats, report = fleet_capture(
-        source,
-        job_dir,
-        num_shards=num_shards,
-        workers=workers,
-        config=ctx.config,
-        progress=ctx.fleet_progress(stage),
+    check_collect_mode(
+        p["distributed"], p["checkpoint"], p["job_dir"],
+        error=ExperimentParamError,
     )
-    metrics = dict(report.to_jsonable())
-    metrics["job_dir"] = str(job_dir)
-    metrics["workers"] = workers
-    return stats, metrics
+
+
+def _collect(ctx, source, stage: str):
+    """A batched attack capture via :func:`repro.capture.collect`."""
+    from ..capture import collect
+
+    p = ctx.params
+    return collect(
+        source,
+        config=ctx.config,
+        checkpoint=p["checkpoint"] or None,
+        distributed=p["distributed"],
+        job_dir=p["job_dir"] or None,
+        progress=ctx.capture_progress(stage),
+        fleet_progress=ctx.fleet_progress(stage),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -562,7 +540,8 @@ def _absab_gap(ctx) -> dict[str, Any]:
                    "local worker count from REPRO_FLEET_WORKERS)"),
         Param("job_dir", kind="str", default="",
               help="fleet job directory shared by coordinator and workers "
-                   "(distributed > 0; default: a fresh temp dir)"),
+                   "(distributed > 0; default: a temp dir removed after "
+                   "the merge)"),
     ),
 )
 def _attack_tkip(ctx) -> dict[str, Any]:
@@ -579,9 +558,11 @@ def _attack_tkip(ctx) -> dict[str, Any]:
         raise ExperimentParamError(
             f"capture must be 'sampled' or 'batched', got {p['capture']!r}"
         )
-    if p["capture"] != "batched" and p["checkpoint"]:
-        raise ExperimentParamError("checkpoint requires capture=batched")
-    _validate_distributed(p)
+    _check_capture_mode(p)
+    if p["capture"] != "batched" and (p["checkpoint"] or p["distributed"]):
+        raise ExperimentParamError(
+            "checkpoint/distributed require capture=batched"
+        )
     sim = WifiAttackSimulation(ctx.config)
     plaintext = sim.true_plaintext
 
@@ -609,25 +590,15 @@ def _attack_tkip(ctx) -> dict[str, Any]:
     )
     fleet_metrics = None
     with ctx.timer("capture"):
-        if p["capture"] == "batched" and p["distributed"]:
-            capture, fleet_metrics = _run_fleet_capture(
+        if p["capture"] == "batched":
+            capture, fleet_metrics = _collect(
                 ctx,
                 sim.capture_source(
                     default_tsc_space(p["num_tsc"]),
                     p["packets_per_tsc"],
                     batch_size=p["batch_size"],
                 ),
-                num_shards=p["distributed"],
-                job_dir=p["job_dir"],
-                stage="capture",
-            )
-        elif p["capture"] == "batched":
-            capture = sim.batched_capture(
-                default_tsc_space(p["num_tsc"]),
-                p["packets_per_tsc"],
-                batch_size=p["batch_size"],
-                checkpoint_path=p["checkpoint"] or None,
-                progress=ctx.capture_progress("capture"),
+                "capture",
             )
         else:
             capture = sampled_capture(
@@ -1079,7 +1050,8 @@ def _bias_sweep_pertsc(ctx) -> dict[str, Any]:
                    "local worker count from REPRO_FLEET_WORKERS)"),
         Param("job_dir", kind="str", default="",
               help="fleet job directory shared by coordinator and workers "
-                   "(distributed > 0; default: a fresh temp dir)"),
+                   "(distributed > 0; default: a temp dir removed after "
+                   "the merge)"),
     ),
 )
 def _attack_https(ctx) -> dict[str, Any]:
@@ -1097,11 +1069,13 @@ def _attack_https(ctx) -> dict[str, Any]:
         raise ExperimentParamError(
             f"capture must be 'sampled' or 'batched', got {p['capture']!r}"
         )
-    if p["capture"] != "batched" and (p["reconnect_every"] != 1 or p["checkpoint"]):
+    _check_capture_mode(p)
+    if p["capture"] != "batched" and (
+        p["reconnect_every"] != 1 or p["checkpoint"] or p["distributed"]
+    ):
         raise ExperimentParamError(
-            "reconnect_every/checkpoint require capture=batched"
+            "reconnect_every/checkpoint/distributed require capture=batched"
         )
-    _validate_distributed(p)
     cookie_len = p["cookie_len"]
     if cookie_len <= 0:
         cookie_len = 3 if ctx.config.scale < 4 else 16
@@ -1120,25 +1094,15 @@ def _attack_https(ctx) -> dict[str, Any]:
     )
     fleet_metrics = None
     with ctx.timer("collect"):
-        if p["capture"] == "batched" and p["distributed"]:
-            stats, fleet_metrics = _run_fleet_capture(
+        if p["capture"] == "batched":
+            stats, fleet_metrics = _collect(
                 ctx,
                 sim.capture_source(
                     p["num_requests"],
                     batch_size=p["batch_size"],
                     reconnect_every=p["reconnect_every"],
                 ),
-                num_shards=p["distributed"],
-                job_dir=p["job_dir"],
-                stage="collect",
-            )
-        elif p["capture"] == "batched":
-            stats = sim.batched_statistics(
-                p["num_requests"],
-                batch_size=p["batch_size"],
-                reconnect_every=p["reconnect_every"],
-                checkpoint_path=p["checkpoint"] or None,
-                progress=ctx.capture_progress("collect"),
+                "collect",
             )
         else:
             stats = sim.sampled_statistics(p["num_requests"])
@@ -1175,22 +1139,6 @@ def _attack_https(ctx) -> dict[str, Any]:
 # --------------------------------------------------------------------------
 # §5/§6 at fleet scale — victim-population campaigns
 # --------------------------------------------------------------------------
-
-
-def _validate_campaign_fleet(p) -> None:
-    """Fleet/checkpoint checks for the campaign experiments (which have a
-    checkpoint *directory* and no ``capture`` fidelity switch)."""
-    if p["distributed"] < 0:
-        raise ExperimentParamError(
-            f"distributed must be >= 0, got {p['distributed']}"
-        )
-    if p["distributed"] and p["checkpoint"]:
-        raise ExperimentParamError(
-            "the fleet manages its own per-shard checkpoints; "
-            "drop checkpoint for distributed campaigns"
-        )
-    if p["job_dir"] and not p["distributed"]:
-        raise ExperimentParamError("job_dir requires distributed > 0")
 
 
 def _parse_names(p, name: str) -> tuple[str, ...]:
@@ -1262,7 +1210,8 @@ def _emit_surface(ctx, result, stage: str) -> None:
                    "count from REPRO_FLEET_WORKERS)"),
         Param("job_dir", kind="str", default="",
               help="fleet job directory, one subdir per victim group "
-                   "(distributed > 0; default: fresh temp dirs)"),
+                   "(distributed > 0; default: temp dirs removed after "
+                   "each merge)"),
     ),
 )
 def _campaign_https(ctx) -> dict[str, Any]:
@@ -1274,7 +1223,7 @@ def _campaign_https(ctx) -> dict[str, Any]:
         raise ExperimentParamError(
             f"population must be >= 0, got {p['population']}"
         )
-    _validate_campaign_fleet(p)
+    _check_capture_mode(p)
     population = Population.sample(
         ctx.config,
         p["population"],
@@ -1371,7 +1320,7 @@ def _campaign_tkip(ctx) -> dict[str, Any]:
         raise ExperimentParamError(
             f"num_tsc must be 1..65536, got {p['num_tsc']}"
         )
-    _validate_campaign_fleet(p)
+    _check_capture_mode(p)
     population = Population.sample(
         ctx.config,
         p["population"],

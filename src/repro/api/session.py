@@ -264,7 +264,7 @@ class Session:
             "version": __version__,
             "seed": config.seed,
             "scale": config.scale,
-            "native": config.native and _native.available(),
+            "native": _native.available(),
             "native_threads": config.native_threads,
             "native_simd": config.native_simd and _native.simd_available(),
         }

@@ -16,9 +16,9 @@ are invariant under population permutation, and any single victim can
 be reproduced bit-exactly by a single-template capture with its group's
 label (tests/test_campaign.py holds both properties).
 
-Group captures ride :func:`repro.capture.run_capture`: resumable via a
-per-group checkpoint NPZ plus a per-group outcome record inside
-``checkpoint_dir``, and `distributed=N`-capable through the fleet
+Both protocols share one group loop over :func:`repro.capture.collect`:
+resumable via a per-group checkpoint NPZ plus a per-group outcome record
+inside ``checkpoint_dir``, and `distributed=N`-capable through the fleet
 coordinator.  Each finished group is immediately reduced to per-victim
 :class:`VictimOutcome` records (success, candidate rank,
 time-to-first-recovery) and its counter banks are dropped, bounding
@@ -29,20 +29,20 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..analysis.report import SurfaceCheck, check_surface_within_ci
+from ..capture.engine import check_collect_mode, collect
 from ..config import ReproConfig
 from ..errors import AttackError, CampaignError
+from ..fleet.manifest import atomic_write_json
 from ..simulate.https import HttpsAttackSimulation
 from ..simulate.timing import tkip_timeline, tls_timeline
 from ..simulate.wifi import WifiAttackSimulation
 from ..tls.attack import recover_candidates
 from ..tls.cookies import charset as charset_by_name
-from ..utils.serialization import canonical_json
 from .population import Population, VictimSpec
 
 #: Axis names of the two campaign kinds' success surfaces.
@@ -245,49 +245,6 @@ def _grouped(
     return groups
 
 
-def _capture_group(
-    source,
-    tag: str,
-    *,
-    config: ReproConfig,
-    checkpoint_dir: str | Path | None,
-    checkpoint_every: int,
-    distributed: int,
-    job_dir: str | Path | None,
-    progress,
-):
-    """One group's statistics via the engine, a checkpoint, or the fleet."""
-    from ..capture import run_capture
-
-    if distributed:
-        from ..fleet import fleet_capture
-
-        group_dir = Path(job_dir) / tag if job_dir else None
-        if group_dir is None:
-            import tempfile
-
-            group_dir = tempfile.mkdtemp(prefix=f"repro-campaign-{tag}-")
-        workers = config.fleet_workers or (os.cpu_count() or 1)
-        workers = max(1, min(workers, distributed))
-        stats, _report = fleet_capture(
-            source,
-            group_dir,
-            num_shards=distributed,
-            workers=workers,
-            config=config,
-        )
-        return stats
-    checkpoint_path = (
-        Path(checkpoint_dir) / f"{tag}.npz" if checkpoint_dir else None
-    )
-    return run_capture(
-        source,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        progress=progress,
-    )
-
-
 def _load_done(
     checkpoint_dir: str | Path | None, tag: str, fingerprint: str
 ) -> list[VictimOutcome] | None:
@@ -318,36 +275,87 @@ def _store_done(
         return
     directory = Path(checkpoint_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{tag}.done.json"
-    tmp = directory / f"{tag}.done.tmp.json"
-    tmp.write_text(
-        canonical_json(
-            {
-                "fingerprint": fingerprint,
-                "outcomes": [outcome.to_jsonable() for outcome in outcomes],
-            }
-        )
+    atomic_write_json(
+        directory / f"{tag}.done.json",
+        {
+            "fingerprint": fingerprint,
+            "outcomes": [outcome.to_jsonable() for outcome in outcomes],
+        },
     )
-    os.replace(tmp, path)
+
+
+@dataclass
+class CaptureGroup:
+    """One shared-keystream capture group: its victims, their
+    simulations, and the multi-template source they share."""
+
+    tag: str
+    specs: list[VictimSpec]
+    sims: dict[str, Any]
+    source: Any
+
+
+def _run_groups(
+    kind: str,
+    axes: tuple[str, ...],
+    population: Population,
+    groups: Sequence[CaptureGroup],
+    outcome: Callable[[VictimSpec, Any, Any], VictimOutcome],
+    *,
+    config: ReproConfig,
+    checkpoint_dir: str | Path | None,
+    checkpoint_every: int,
+    distributed: int,
+    job_dir: str | Path | None,
+    progress,
+    on_group: Callable[[int, int, str], None] | None,
+) -> CampaignResult:
+    """The campaign loop both protocols share.
+
+    Per group: reuse a finished group's outcome record, else capture
+    through :func:`repro.capture.collect`, reduce every victim with
+    ``outcome(spec, sim, stats)``, drop the counter banks (peak memory
+    stays group-bounded) and store the record.
+    """
+    outcomes: dict[str, VictimOutcome] = {}
+    for group_index, group in enumerate(groups):
+        if on_group is not None:
+            on_group(group_index, len(groups), group.tag)
+        fingerprint = group.source.fingerprint()
+        done = _load_done(checkpoint_dir, group.tag, fingerprint)
+        if done is None:
+            stats, _fleet = collect(
+                group.source,
+                config=config,
+                checkpoint=(
+                    Path(checkpoint_dir) / f"{group.tag}.npz"
+                    if checkpoint_dir else None
+                ),
+                checkpoint_every=checkpoint_every,
+                distributed=distributed,
+                job_dir=Path(job_dir) / group.tag if job_dir else None,
+                progress=progress,
+            )
+            done = [
+                outcome(spec, group.sims[spec.victim_id], stats)
+                for spec in group.specs
+            ]
+            del stats
+            _store_done(checkpoint_dir, group.tag, fingerprint, done)
+        for record in done:
+            outcomes[record.victim_id] = record
+    return CampaignResult(
+        kind=kind,
+        label=population.label,
+        axes=axes,
+        outcomes=[outcomes[spec.victim_id] for spec in population.victims],
+        num_groups=len(groups),
+    )
 
 
 # ---------------------------------------------------------------------------
 # HTTPS campaigns (§6 at fleet scale).
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class HttpsGroup:
-    """One shared-keystream HTTPS capture group."""
-
-    tag: str
-    specs: list[VictimSpec]
-    sims: dict[str, HttpsAttackSimulation]
-    source: Any
-
-    @property
-    def label(self) -> str:
-        return self.source.label
 
 
 def plan_https_groups(
@@ -359,7 +367,7 @@ def plan_https_groups(
     max_gap: int = 4,
     batch_size: int = 4096,
     group_size: int = 8,
-) -> list[HttpsGroup]:
+) -> list[CaptureGroup]:
     """Expand a population into shared-keystream capture groups.
 
     Exposed separately so tests can rebuild any group member as a
@@ -407,7 +415,7 @@ def plan_https_groups(
             label=f"{population.label}/{tag}",
         )
         groups.append(
-            HttpsGroup(tag=tag, specs=list(chunk), sims=sims, source=source)
+            CaptureGroup(tag=tag, specs=list(chunk), sims=sims, source=source)
         )
     return groups
 
@@ -436,11 +444,9 @@ def run_https_campaign(
     score a (browser, charset, reconnect regime) success-surface cell.
     An empty population yields an empty result, not an exception.
     """
-    if distributed and checkpoint_dir:
-        raise CampaignError(
-            "the fleet manages its own per-shard checkpoints; "
-            "drop checkpoint_dir for distributed campaigns"
-        )
+    check_collect_mode(
+        distributed, checkpoint_dir, job_dir, error=CampaignError
+    )
     groups = plan_https_groups(
         config,
         population,
@@ -450,44 +456,22 @@ def run_https_campaign(
         batch_size=batch_size,
         group_size=group_size,
     )
-    outcomes: dict[str, VictimOutcome] = {}
-    for group_index, group in enumerate(groups):
-        if on_group is not None:
-            on_group(group_index, len(groups), group.tag)
-        fingerprint = group.source.fingerprint()
-        done = _load_done(checkpoint_dir, group.tag, fingerprint)
-        if done is None:
-            stats = _capture_group(
-                group.source,
-                group.tag,
-                config=config,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
-                distributed=distributed,
-                job_dir=job_dir,
-                progress=progress,
-            )
-            done = [
-                _https_outcome(
-                    spec,
-                    group.sims[spec.victim_id],
-                    stats.victim(spec.victim_id),
-                    num_candidates=num_candidates,
-                )
-                for spec in group.specs
-            ]
-            del stats  # per-group counter banks; keep peak memory bounded
-            _store_done(checkpoint_dir, group.tag, fingerprint, done)
-        for outcome in done:
-            outcomes[outcome.victim_id] = outcome
-    return CampaignResult(
-        kind="https",
-        label=population.label,
-        axes=HTTPS_AXES,
-        outcomes=[
-            outcomes[spec.victim_id] for spec in population.victims
-        ],
-        num_groups=len(groups),
+    return _run_groups(
+        "https",
+        HTTPS_AXES,
+        population,
+        groups,
+        lambda spec, sim, stats: _https_outcome(
+            spec, sim, stats.victim(spec.victim_id),
+            num_candidates=num_candidates,
+        ),
+        config=config,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every,
+        distributed=distributed,
+        job_dir=job_dir,
+        progress=progress,
+        on_group=on_group,
     )
 
 
@@ -499,7 +483,10 @@ def _https_outcome(
     num_candidates: int,
 ) -> VictimOutcome:
     candidates = recover_candidates(
-        stats, num_candidates, charset=charset_by_name(spec.charset)
+        stats,
+        num_candidates,
+        charset=charset_by_name(spec.charset),
+        mem_budget=sim.config.candidate_mem,
     )
     rank = candidates.rank_of(sim.secret)
     success = rank is not None
@@ -523,20 +510,6 @@ def _https_outcome(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TkipGroup:
-    """One shared-keystream TKIP capture group."""
-
-    tag: str
-    specs: list[VictimSpec]
-    sims: dict[str, WifiAttackSimulation]
-    source: Any
-
-    @property
-    def label(self) -> str:
-        return self.source.label
-
-
 def plan_tkip_groups(
     config: ReproConfig,
     population: Population,
@@ -544,7 +517,7 @@ def plan_tkip_groups(
     tsc_values: Sequence[int],
     batch_size: int = 4096,
     group_size: int = 8,
-) -> list[TkipGroup]:
+) -> list[CaptureGroup]:
     """Expand a population into shared-budget TKIP capture groups."""
     from ..capture import MultiTkipCaptureSource
 
@@ -573,7 +546,7 @@ def plan_tkip_groups(
             label=f"{population.label}/{tag}",
         )
         groups.append(
-            TkipGroup(tag=tag, specs=list(chunk), sims=sims, source=source)
+            CaptureGroup(tag=tag, specs=list(chunk), sims=sims, source=source)
         )
     return groups
 
@@ -603,11 +576,9 @@ def run_tkip_campaign(
     """
     from ..tkip.per_tsc import default_tsc_space, generate_per_tsc
 
-    if distributed and checkpoint_dir:
-        raise CampaignError(
-            "the fleet manages its own per-shard checkpoints; "
-            "drop checkpoint_dir for distributed campaigns"
-        )
+    check_collect_mode(
+        distributed, checkpoint_dir, job_dir, error=CampaignError
+    )
     if not population.victims:
         return CampaignResult(
             kind="tkip", label=population.label, axes=TKIP_AXES, outcomes=[]
@@ -628,45 +599,22 @@ def run_tkip_campaign(
         length=plaintext_len,
         label=f"{population.label}/per-tsc",
     )
-    outcomes: dict[str, VictimOutcome] = {}
-    for group_index, group in enumerate(groups):
-        if on_group is not None:
-            on_group(group_index, len(groups), group.tag)
-        fingerprint = group.source.fingerprint()
-        done = _load_done(checkpoint_dir, group.tag, fingerprint)
-        if done is None:
-            stats = _capture_group(
-                group.source,
-                group.tag,
-                config=config,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
-                distributed=distributed,
-                job_dir=job_dir,
-                progress=progress,
-            )
-            done = [
-                _tkip_outcome(
-                    spec,
-                    group.sims[spec.victim_id],
-                    stats.victim_capture_set(spec.victim_id),
-                    per_tsc,
-                    max_candidates=max_candidates,
-                )
-                for spec in group.specs
-            ]
-            del stats
-            _store_done(checkpoint_dir, group.tag, fingerprint, done)
-        for outcome in done:
-            outcomes[outcome.victim_id] = outcome
-    return CampaignResult(
-        kind="tkip",
-        label=population.label,
-        axes=TKIP_AXES,
-        outcomes=[
-            outcomes[spec.victim_id] for spec in population.victims
-        ],
-        num_groups=len(groups),
+    return _run_groups(
+        "tkip",
+        TKIP_AXES,
+        population,
+        groups,
+        lambda spec, sim, stats: _tkip_outcome(
+            spec, sim, stats.victim_capture_set(spec.victim_id), per_tsc,
+            max_candidates=max_candidates,
+        ),
+        config=config,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every,
+        distributed=distributed,
+        job_dir=job_dir,
+        progress=progress,
+        on_group=on_group,
     )
 
 

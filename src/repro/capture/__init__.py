@@ -19,7 +19,9 @@ rides the same batched, vectorized machinery as keystream generation:
   shardable across processes and resumable across sessions;
 - **orchestration** (:mod:`.engine`): :func:`run_capture` walks
   deterministic per-batch key derivations, checkpoints every N batches,
-  and reproduces uninterrupted counts bit-exactly on resume.
+  and reproduces uninterrupted counts bit-exactly on resume;
+  :func:`collect` picks in-process, checkpointed or fleet execution
+  for the attacks and campaigns.
 
 The per-request reference paths (``CookieStatistics.ingest_fragment``,
 ``CaptureSet.add_frame``) remain as bit-exact oracles; see
@@ -30,6 +32,8 @@ from .engine import (
     CaptureProgress,
     CaptureSource,
     batch_digest,
+    check_collect_mode,
+    collect,
     run_capture,
     merge_shards,
     shard_batches,
@@ -57,6 +61,8 @@ __all__ = [
     "SufficientStatistics",
     "TkipCaptureSource",
     "batch_digest",
+    "check_collect_mode",
+    "collect",
     "ingest_keystream_columns",
     "merge_shards",
     "run_capture",

@@ -14,18 +14,25 @@ space into disjoint ranges, each shard runs ``run_capture(source,
 batches=...)`` in its own process, and :func:`merge_shards` combines the
 results with the exact int64 merge of the
 :class:`~repro.capture.protocol.SufficientStatistics` protocol.
+
+:func:`collect` is the one place that picks how a capture runs: in
+process, checkpointed, or sharded across the fleet coordinator.  The
+attack experiments and the campaign drivers all go through it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
+import tempfile
 import warnings
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Protocol, Sequence
 
+from ..config import ReproConfig
 from ..errors import CaptureError, DatasetError
 from ..utils.serialization import canonical_json
 from .protocol import SufficientStatistics
@@ -134,7 +141,7 @@ def batch_digest(batch_list: list[int]) -> str:
 
 
 def fsync_file(path: str | Path) -> None:
-    """Flush file contents to stable storage (crash-durable checkpoints)."""
+    """Flush a written file to stable storage before renaming it."""
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -306,3 +313,90 @@ def run_capture(
                 )
             )
     return stats
+
+
+def check_collect_mode(
+    distributed: int,
+    checkpoint: str | Path | None,
+    job_dir: str | Path | None,
+    *,
+    error: type[Exception] = CaptureError,
+) -> None:
+    """The rules for choosing how :func:`collect` runs a capture.
+
+    ``distributed`` is a shard count (0 = in process), the fleet keeps
+    its own per-shard checkpoints, and a job directory only means
+    something to the fleet.  Callers that validate their parameters
+    before any work starts pass their own ``error`` type.
+    """
+    if distributed < 0:
+        raise error(f"distributed must be >= 0, got {distributed}")
+    if distributed and checkpoint:
+        raise error(
+            "the fleet manages its own per-shard checkpoints; "
+            "drop checkpoint for distributed runs"
+        )
+    if job_dir and not distributed:
+        raise error("job_dir requires distributed > 0")
+
+
+def collect(
+    source: CaptureSource,
+    *,
+    config: ReproConfig,
+    checkpoint: str | Path | None = None,
+    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+    distributed: int = 0,
+    job_dir: str | Path | None = None,
+    progress: ProgressCallback | None = None,
+    fleet_progress: Callable | None = None,
+) -> tuple[SufficientStatistics, dict[str, Any] | None]:
+    """Run a capture in process, checkpointed, or on the fleet.
+
+    ``distributed=0`` runs :func:`run_capture` (checkpointed when
+    ``checkpoint`` names a path).  ``distributed=N`` expands the source
+    into ``N`` shards and runs them through
+    :func:`repro.fleet.fleet_capture` with ``config.fleet_workers``
+    local workers (default: the CPU count), at most ``N``; the merged
+    counters are bit-identical to the in-process run.  Without a
+    ``job_dir`` the shards go to a temporary directory that is removed
+    once the merge is done, since no later run could resume from it.
+
+    Returns:
+        ``(stats, fleet_metrics)``: the statistics, and for fleet runs
+        the coverage report plus ``job_dir`` (``None`` for a temporary
+        directory) and ``workers``; ``None`` for in-process runs.
+
+    Raises:
+        CaptureError: on a combination :func:`check_collect_mode`
+            rejects.
+    """
+    check_collect_mode(distributed, checkpoint, job_dir)
+    if not distributed:
+        stats = run_capture(
+            source,
+            checkpoint_path=checkpoint,
+            checkpoint_every=checkpoint_every,
+            progress=progress,
+        )
+        return stats, None
+    from ..fleet.coordinator import fleet_capture
+
+    workers = min(config.fleet_workers or (os.cpu_count() or 1), distributed)
+    shards_dir = (
+        contextlib.nullcontext(job_dir) if job_dir
+        else tempfile.TemporaryDirectory(prefix="repro-fleet-")
+    )
+    with shards_dir as directory:
+        stats, report = fleet_capture(
+            source,
+            directory,
+            num_shards=distributed,
+            workers=workers,
+            config=config,
+            progress=fleet_progress,
+        )
+    metrics = dict(report.to_jsonable())
+    metrics["job_dir"] = str(job_dir) if job_dir else None
+    metrics["workers"] = workers
+    return stats, metrics

@@ -22,7 +22,9 @@ count and backend knob in the library:
     flag, kernel thread count (default ``os.cpu_count()``), the
     runtime-dispatched AVX2 wide kernels (on by default, harmless on
     hardware without AVX2), and a compiler pin.
-    All results are bit-exact for every setting.
+    All results are bit-exact for every setting.  ``REPRO_NATIVE`` and
+    ``REPRO_NATIVE_CC`` act once, when the library loads, so they are
+    process-level switches with no :class:`ReproConfig` field.
 
 ``REPRO_FLEET_LEASE_TTL`` / ``REPRO_FLEET_RETRY_BUDGET`` /
 ``REPRO_FLEET_BACKOFF_BASE`` / ``REPRO_FLEET_WORKERS``
@@ -92,15 +94,11 @@ class ReproConfig:
     Attributes:
         scale: multiplier applied to default sample counts (> 0).
         seed: master seed from which all child RNG streams derive.
-        native: whether the compiled statistics backend may be used
-            (it silently falls back to numpy when unavailable anyway).
         native_threads: thread count for the native kernels; ``None``
             means the backend default (``os.cpu_count()``).
         native_simd: allow the runtime-dispatched AVX2 wide kernels (32
             states per loop); silently degrades to the portable
             interleaved tier on hardware or builds without AVX2.
-        native_cc: pinned C compiler for the on-demand build, or ``None``
-            for the ``cc``/``gcc``/``clang`` probe order.
         fleet_lease_ttl: seconds without a heartbeat before a fleet
             shard lease is stale and reclaimable (> 0).
         fleet_retry_budget: attempts per fleet shard before it is marked
@@ -115,10 +113,8 @@ class ReproConfig:
 
     scale: float = 1.0
     seed: int = DEFAULT_SEED
-    native: bool = True
     native_threads: int | None = None
     native_simd: bool = True
-    native_cc: str | None = None
     fleet_lease_ttl: float = DEFAULT_FLEET_LEASE_TTL
     fleet_retry_budget: int = DEFAULT_FLEET_RETRY_BUDGET
     fleet_backoff_base: float = DEFAULT_FLEET_BACKOFF_BASE
@@ -317,10 +313,8 @@ def get_config() -> ReproConfig:
     return ReproConfig(
         scale=scale,
         seed=seed,
-        native=env_native_enabled(),
         native_threads=threads,
         native_simd=env_native_simd(),
-        native_cc=env_native_cc(),
         fleet_lease_ttl=env_fleet_lease_ttl(),
         fleet_retry_budget=max(1, env_fleet_retry_budget()),
         fleet_backoff_base=max(0.0, env_fleet_backoff_base()),

@@ -489,8 +489,9 @@ def fleet_capture(
             checkpoints, and promoted statistics; survives crashes and
             is what a re-invocation resumes from.
         num_shards: how many disjoint batch-ranges to expand into.
-        workers: in-process worker threads to drive (external
-            ``python -m repro fleet-worker`` processes may join too).
+        workers: local workers to drive: ``1`` runs one worker inline
+            in this process, more spawn that many ``python -m repro
+            fleet-worker`` subprocesses (external workers may join too).
         config: retry budget / backoff knobs; ``None`` reads the
             environment.
         checkpoint_every: batches between shard checkpoint writes.

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
 
-from ..capture.engine import batch_digest, shard_batches, source_fingerprint
+from ..capture.engine import batch_digest, fsync_file, shard_batches, source_fingerprint
 from ..config import (
     DEFAULT_FLEET_BACKOFF_BASE,
     DEFAULT_FLEET_LEASE_TTL,
@@ -71,20 +71,11 @@ STATE_DESCRIPTIONS = {
 }
 
 
-def fsync_path(path: str | Path) -> None:
-    """Flush a written file to stable storage before renaming it."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
     """Durably replace ``path`` with ``payload`` (temp + fsync + rename)."""
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     tmp.write_text(canonical_json(payload))
-    fsync_path(tmp)
+    fsync_file(tmp)
     os.replace(tmp, path)
 
 

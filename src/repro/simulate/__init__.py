@@ -30,12 +30,6 @@ from .timing import (
 from .wifi import WifiAttackSimulation
 from .https import HttpsAttackSimulation
 
-
-def sample_single_byte_counts_simple(dist, n, plaintext, seed):
-    """Backward-compatible alias used by the README quickstart."""
-    return sample_single_byte_counts(dist, n, plaintext, seed=seed)
-
-
 __all__ = [
     "AttackTimeline",
     "HttpsAttackSimulation",

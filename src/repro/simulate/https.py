@@ -213,6 +213,7 @@ class HttpsAttackSimulation:
             num_candidates=num_candidates,
             charset=self.cookie_charset,
             pruner=pruner,
+            mem_budget=self.config.candidate_mem,
         )
         if result.cookie != self.secret:
             raise AttackError("oracle accepted a wrong cookie (impossible)")

@@ -118,10 +118,6 @@ def message_words(message: bytes) -> list[int]:
     ]
 
 
-#: Backwards-compatible private alias for :func:`message_words`.
-_padded_words = message_words
-
-
 def michael(key: bytes, message: bytes) -> bytes:
     """Compute the 8-byte Michael MIC of ``message`` under ``key``.
 

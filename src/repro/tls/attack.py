@@ -339,14 +339,23 @@ def recover_candidates(
     num_candidates: int,
     *,
     charset: bytes = COOKIE_CHARSET,
+    mem_budget: int | None = None,
 ) -> CandidateMatrix:
-    """Likelihoods -> Algorithm 2 candidate matrix over the cookie alphabet."""
+    """Likelihoods -> Algorithm 2 candidate matrix over the cookie alphabet.
+
+    ``mem_budget`` is Algorithm 2's selection-scratch budget in bytes
+    (``None``: ``REPRO_CANDIDATE_MEM``); the list is the same at every
+    budget.
+    """
     layout = stats.layout
     loglik = transition_log_likelihoods(stats)
     start, end = layout.cookie_span
     first = layout.known_byte(start - 1)
     last = layout.known_byte(end + 1)
-    return algorithm2(loglik, first, last, num_candidates, charset=charset)
+    return algorithm2(
+        loglik, first, last, num_candidates, charset=charset,
+        mem_budget=mem_budget,
+    )
 
 
 @dataclass(frozen=True)
@@ -372,6 +381,7 @@ def run_attack(
     num_candidates: int = 1 << 23,
     charset: bytes = COOKIE_CHARSET,
     pruner: CandidatePruner | None = None,
+    mem_budget: int | None = None,
 ) -> CookieAttackResult:
     """Candidate generation plus brute force against the server oracle.
 
@@ -383,8 +393,12 @@ def run_attack(
         pruner: optional layout-aware filter applied between candidate
             generation and the oracle — used when the layout metadata
             declares a tighter alphabet than ``charset``.
+        mem_budget: Algorithm 2 selection-scratch budget in bytes
+            (``None``: ``REPRO_CANDIDATE_MEM``).
     """
-    candidates = recover_candidates(stats, num_candidates, charset=charset)
+    candidates = recover_candidates(
+        stats, num_candidates, charset=charset, mem_budget=mem_budget
+    )
     cookie, attempts, rank = oracle.search_matrix(candidates.matrix, pruner=pruner)
     return CookieAttackResult(
         cookie=cookie,

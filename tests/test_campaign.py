@@ -278,6 +278,68 @@ class TestCampaignResume:
                 checkpoint_dir=tmp_path,
             )
 
+    def test_done_records_are_fsynced(self, config, tmp_path, monkeypatch):
+        """A done record is flushed before its rename, so a resume never
+        finds the name without the content."""
+        from repro.fleet import manifest
+
+        synced = []
+        original = manifest.fsync_file
+        monkeypatch.setattr(
+            manifest, "fsync_file",
+            lambda path: (synced.append(path), original(path)),
+        )
+        pop = Population.sample(config, 3, label="durable")
+        ckpt = tmp_path / "campaign"
+        run_https_campaign(config, pop, checkpoint_dir=ckpt, **self._kwargs())
+        done = sorted(ckpt.glob("*.done.json"))
+        assert done and len(synced) == len(done)
+        assert all(".done.json.tmp." in str(path) for path in synced)
+        assert not list(ckpt.glob("*.tmp*"))
+
+
+class TestCampaignFleet:
+    """``distributed=2`` routes every group through the fleet (one
+    inline worker at ``fleet_workers=1``); outcomes equal the local run."""
+
+    @pytest.fixture
+    def fleet_config(self):
+        return ReproConfig(seed=1234, fleet_workers=1, fleet_backoff_base=0.0)
+
+    def test_https_fleet_outcomes_equal_local(self, fleet_config, tmp_path):
+        pop = Population.sample(fleet_config, 4, label="fleet")
+        kwargs = dict(num_requests=512, cookie_len=2, num_candidates=64,
+                      batch_size=64, group_size=2)
+        local = run_https_campaign(fleet_config, pop, **kwargs)
+        job = tmp_path / "job"
+        fleet = run_https_campaign(
+            fleet_config, pop, distributed=2, job_dir=job, **kwargs
+        )
+        assert fleet.outcomes == local.outcomes
+        assert fleet.num_groups == local.num_groups
+        tags = [g.tag for g in plan_https_groups(
+            fleet_config, pop, num_requests=512, batch_size=64, group_size=2,
+        )]
+        assert sorted(p.name for p in job.iterdir()) == sorted(tags)
+
+    def test_tkip_fleet_outcomes_equal_local(self, fleet_config):
+        pop = Population.sample(
+            fleet_config, 3, label="fleet", budgets=(64, 128)
+        )
+        kwargs = dict(num_tsc=2, keys_per_tsc=64, group_size=2,
+                      max_candidates=8, batch_size=32)
+        local = run_tkip_campaign(fleet_config, pop, **kwargs)
+        fleet = run_tkip_campaign(fleet_config, pop, distributed=2, **kwargs)
+        assert fleet.outcomes == local.outcomes
+        assert fleet.num_groups == local.num_groups
+
+    def test_job_dir_requires_distributed(self, fleet_config, tmp_path):
+        pop = Population.sample(fleet_config, 2, label="fleet")
+        with pytest.raises(CampaignError, match="job_dir"):
+            run_https_campaign(
+                fleet_config, pop, num_requests=128, job_dir=tmp_path,
+            )
+
 
 # --------------------------------------------------------------------------
 # Campaign results and surfaces

@@ -172,6 +172,32 @@ def test_verify_job_smokes_the_campaign_simulator(workflow):
     )
 
 
+def test_campaign_smoke_reruns_the_campaign_on_the_fleet(workflow):
+    """The campaign smoke step must rerun the same 4-victim campaign
+    with ``distributed=2`` and assert its surface equals the local
+    run's, so the fleet route of the campaign driver runs on both
+    REPRO_NATIVE legs."""
+    job = workflow["jobs"]["verify"]
+    step = next(
+        s["run"] for s in _steps(job)
+        if "campaign-https" in s.get("run", "")
+    )
+    runs = [
+        line for line in step.split("python -m repro")[1:]
+        if "campaign-https" in line.split("\n")[0]
+    ]
+    assert len(runs) == 2, "expected a local and a distributed campaign run"
+    local, fleet = runs
+    assert "distributed" not in local
+    assert "--param distributed=2" in fleet
+    for param in ("population=4", "num_requests=1024", "num_candidates=64"):
+        assert param in local and param in fleet, param
+    assert "campaign-fleet.json" in step
+    assert "fleet['surface'] == local['surface']" in step, (
+        "the distributed campaign must be checked against the local one"
+    )
+
+
 def test_verify_job_smokes_recovery_at_scale(workflow):
     """The verify job must run the candidate-recovery engine at a
     paper-scale list size (attack-https with num_candidates=65536) on
